@@ -15,7 +15,7 @@ import sys
 from . import validation
 from .fock import TruncationPolicy, build_hcs, fidelity
 from .heralding import DegenerateBranchError, HeraldingParams, simulate_herald
-from .sweep import SweepSpec, figure_sweeps, run_sweep, write_sweeps
+from .sweep import SweepSpec, figure_sweeps, write_sweeps
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -123,8 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    opt = _Options(args)
+def _cmd_sweep(opt: _Options) -> int:
     try:
         spec = SweepSpec(
             witness=opt.get("witness", "squeezing", str),
@@ -142,20 +141,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     out = opt.get("out", None, str)
     try:
-        if out is None:
-            run_sweep(spec, sys.stdout)
-        else:
-            run_sweep(spec, out)
+        write_sweeps([spec], sys.stdout if out is None else out)
     except OSError as exc:
         print(f"hcslab sweep: cannot write {out!r}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    specs = figure_sweeps(args.name)
-    out = opt.get("out", f"figure_{args.name}.csv", str)
+def _cmd_figure(opt: _Options) -> int:
+    specs = figure_sweeps(opt.args.name)
+    out = opt.get("out", f"figure_{opt.args.name}.csv", str)
     try:
         rows = write_sweeps(specs, out)
     except OSError as exc:
@@ -165,8 +160,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    opt = _Options(args)
+def _cmd_validate(opt: _Options) -> int:
     try:
         report = validation.run_validation(
             epsilons=opt.get("epsilon", validation.DEFAULT_EPSILONS, _float_list),
@@ -183,8 +177,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
-def _cmd_herald(args: argparse.Namespace) -> int:
-    opt = _Options(args)
+def _cmd_herald(opt: _Options) -> int:
     t = opt.get("t", None, float)
     r = opt.get("r", None, float)
     if t is None and r is None:
@@ -255,9 +248,16 @@ def _cmd_herald(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        opt = _Options(args)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"hcslab {args.command}: cannot read config {args.config!r}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except ValueError as exc:
+        print(f"hcslab {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return args.handler(opt)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ computed numerically — moments by ladder application, quadrature powers by
 repeated matrix-free application of X - <X> to the state — so the results are
 exact up to truncation and rounding and serve as ground truth for the closed
 forms in :mod:`hcslab.moments`.  Nothing here evaluates a closed-form moment.
+
+Moments pair entries of a ladder stack [(a - shift)^k psi for k <= K] in one
+vdot, <(a - shift)^r psi | (a - shift)^s psi> = <(a^dag - shift*)^r (a - shift)^s>:
+shift 0 gives the raw moments, shift <a> (the vector's own numeric mean) the
+normally ordered centered moments.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import gammainc
 
-from .moments import HcsParams
+from .moments import HcsParams, MomentCache
 from .witnesses import QuadratureSpec
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -142,26 +148,23 @@ def build_hcs(params: HcsParams, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -
     return _normalized_or_flag(_hcs_raw(params, dim), tail_tol, f"hcs {params}")
 
 
-def _annihilated(amps: np.ndarray, times: int) -> np.ndarray:
-    """a^times applied to an amplitude vector; shrinks by one slot per power."""
-    v = amps
-    for _ in range(times):
-        v = np.sqrt(np.arange(1.0, v.size)) * v[1:]
-    return v
+def _ladder_moment(state: FockVector, stack: list[np.ndarray], shift: complex, n: int, m: int) -> complex:
+    """<(a - shift)^n psi | (a - shift)^m psi>, extending ``stack`` = [psi, (a - shift) psi, ...] as needed;
+    entries keep the full dimension, each lowering zero-filling the top slot."""
+    if n < 0 or m < 0:
+        raise ValueError(f"moment orders must be non-negative, got ({n}, {m})")
+    top = max(n, m)
+    if top >= state.dim:
+        raise ValueError(f"ladder power {top} exhausts the truncated basis (dim {state.dim})")
+    while len(stack) <= top:
+        v = stack[-1]
+        stack.append(np.append(np.sqrt(np.arange(1.0, v.size)) * v[1:], 0.0) - shift * v)
+    return complex(np.vdot(stack[n], stack[m]))
 
 
 def numeric_moment(state: FockVector, n: int, m: int) -> complex:
     """<a^dag^n a^m> = <a^n psi | a^m psi>, exact for the stored vector."""
-    if n < 0 or m < 0:
-        raise ValueError(f"moment orders must be non-negative, got ({n}, {m})")
-    if max(n, m) >= state.dim:
-        raise ValueError(
-            f"ladder power {max(n, m)} exhausts the truncated basis (dim {state.dim})"
-        )
-    left = _annihilated(state.amps, n)
-    right = _annihilated(state.amps, m)
-    size = min(left.size, right.size)
-    return complex(np.vdot(left[:size], right[:size]))
+    return _ladder_moment(state, [state.amps], 0.0, n, m)
 
 
 def _apply_quadrature(v: np.ndarray, scale: float, phase: complex) -> np.ndarray:
@@ -212,18 +215,19 @@ def fidelity(u: FockVector, v: FockVector) -> float:
 
 
 class FockMoments:
-    """Moment provider backed by :func:`numeric_moment` over one state."""
+    """Moment provider over one stored vector; keeps its two ladder stacks and caches both kinds of moment."""
 
     def __init__(self, state: FockVector):
         self.state = state
-        self._cache: dict[tuple[int, int], complex] = {}
+        lowered, centered = [state.amps], [state.amps]
+        raw = self._raw = MomentCache(partial(_ladder_moment, state, lowered, 0.0))
+        self._centered = MomentCache(lambda r, s: _ladder_moment(state, centered, raw[0, 1], r, s))
 
     def moment(self, n: int, m: int) -> complex:
-        key = (n, m)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._cache[key] = numeric_moment(self.state, n, m)
-        return cached
+        return self._raw[n, m]
 
     def mean_a(self) -> complex:
         return self.moment(0, 1)
+
+    def centered_moment(self, r: int, s: int) -> complex:
+        return self._centered[r, s]

@@ -93,7 +93,10 @@ def branch_coefficients(hp: HeraldingParams) -> tuple[complex, complex]:
 
 def map_to_hcs(hp: HeraldingParams) -> HcsParams:
     """The (epsilon, phi, alpha) realized by a D1 click; pure arithmetic."""
-    c1, c2 = branch_coefficients(hp)
+    return _hcs_from_branches(*branch_coefficients(hp), hp.alpha)
+
+
+def _hcs_from_branches(c1: complex, c2: complex, alpha: complex) -> HcsParams:
     w1, w2 = abs(c1) ** 2, abs(c2) ** 2
     if w1 + w2 == 0.0:
         raise DegenerateBranchError(
@@ -101,16 +104,16 @@ def map_to_hcs(hp: HeraldingParams) -> HcsParams:
         )
     epsilon = w1 / (w1 + w2)
     phi = cmath.phase(c2) - cmath.phase(c1)
-    return HcsParams(epsilon=epsilon, phi=phi, alpha=hp.alpha)
+    return HcsParams(epsilon=epsilon, phi=phi, alpha=alpha)
 
 
-def _rails_after_bs2(hp: HeraldingParams, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mode-a amplitude vectors on the D1 and D2 rails, before projection.
+def _d1_rail(hp: HeraldingParams, dim: int) -> np.ndarray:
+    """Mode-a amplitude vector on the D1 rail, before projection.
 
     Rail b (photon in the Kerr arm) carries e^{i theta} and the
     photon-number-dependent Kerr factor; rail c carries the bare i/sqrt(2).
-    The joint norm is 1 up to truncation in `exact` mode only: the linearized
-    Kerr operator is not unitary.
+    The D1 and D2 rails together carry norm 1 up to truncation in `exact`
+    mode only: the linearized Kerr operator is not unitary.
     """
     coherent = _coherent_amplitudes(hp.alpha, dim)
     levels = np.arange(dim)
@@ -121,9 +124,7 @@ def _rails_after_bs2(hp: HeraldingParams, dim: int) -> tuple[np.ndarray, np.ndar
     rail_b = (cmath.exp(1j * hp.theta) / math.sqrt(2.0)) * (kerr * coherent)
     rail_c = (1j / math.sqrt(2.0)) * coherent
     # variable splitter: |10>_bc -> t|10> + ir|01>, |01>_bc -> ir|10> + t|01>
-    d1 = hp.t_bs2 * rail_b + 1j * hp.r_bs2 * rail_c
-    d2 = 1j * hp.r_bs2 * rail_b + hp.t_bs2 * rail_c
-    return d1, d2
+    return hp.t_bs2 * rail_b + 1j * hp.r_bs2 * rail_c
 
 
 def simulate_herald(hp: HeraldingParams, policy: TruncationPolicy | None = None) -> HeraldOutcome:
@@ -138,9 +139,10 @@ def simulate_herald(hp: HeraldingParams, policy: TruncationPolicy | None = None)
     """
     if policy is None:
         policy = TruncationPolicy()
-    mapped = map_to_hcs(hp)  # raises on the degenerate branch case
+    c1, c2 = branch_coefficients(hp)
+    mapped = _hcs_from_branches(c1, c2, hp.alpha)  # raises on the degenerate branch case
     dim = choose_truncation(hp.alpha, policy, headroom=3)
-    d1, _ = _rails_after_bs2(hp, dim)
+    d1 = _d1_rail(hp, dim)
     weight = float(np.sum(np.abs(d1) ** 2))
     if weight <= 0.0:
         raise DegenerateBranchError("no amplitude reached D1")
@@ -149,6 +151,6 @@ def simulate_herald(hp: HeraldingParams, policy: TruncationPolicy | None = None)
         state_a=state_a,
         success_prob=min(1.0, weight),
         mapped=mapped,
-        branch_c1=branch_coefficients(hp)[0],
-        branch_c2=branch_coefficients(hp)[1],
+        branch_c1=c1,
+        branch_c2=c2,
     )

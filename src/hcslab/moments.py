@@ -10,6 +10,15 @@ polynomial in alpha and alpha*, so this module evaluates moments exactly (up to
 double rounding) with no Fock-space truncation.  The brute-force counterpart in
 :mod:`hcslab.fock` recomputes everything numerically and never touches these
 formulas.
+
+Centered moments need no raw moment.  As a^dag|alpha> = D(alpha)(|1> + alpha*|0>),
+the HCS is the displaced qubit N D(alpha)[c0|0> + c1|1>] with c1 = sqrt(1-eps)
+e^{i phi} and c0 = sqrt(eps) + c1 alpha*.  With beta = N^2 c0* c1 and
+p = N^2 |c1|^2 (so <a> = alpha + beta), every centered moment is two terms,
+
+    <:(a^dag - <a^dag>)^r (a - <a>)^s:> = (1-r-s) (-beta*)^r (-beta)^s + r s (-beta*)^(r-1) (-beta)^(s-1) p,
+
+each bounded for any alpha since |beta|^2 = p (1 - p) <= 1/4.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 TWO_PI = 2.0 * math.pi
 
@@ -152,24 +162,48 @@ def mean_number(params: HcsParams) -> float:
     return value / _inverse_norm_squared(params)
 
 
-class ClosedFormMoments:
-    """Moment provider over a fixed state, backed by the closed forms.
+class MomentCache(dict):
+    """(n, m) -> moment memo of one provider: a hit is one dict lookup, a miss calls ``compute(n, m)``."""
 
-    Satisfies the provider interface consumed by :mod:`hcslab.witnesses`:
-    ``moment(n, m)`` and ``mean_a()``.  Values are cached since the witness
-    expansions request the same orders repeatedly.
-    """
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(*key)
+        return value
+
+
+class ClosedFormMoments:
+    """Moment provider of :mod:`hcslab.witnesses` over a fixed state: raw moments from
+    :func:`moment`, cached per (n, m), and centered moments from the displaced-qubit form."""
 
     def __init__(self, params: HcsParams):
         self.params = params
-        self._cache: dict[tuple[int, int], complex] = {}
+        self._raw = MomentCache(partial(moment, params))
 
     def moment(self, n: int, m: int) -> complex:
-        key = (n, m)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._cache[key] = moment(self.params, n, m)
-        return cached
+        return self._raw[n, m]
 
     def mean_a(self) -> complex:
         return self.moment(0, 1)
+
+    @cached_property
+    def _qubit(self) -> tuple[complex, float]:
+        """(beta, p) of the module docstring, with c0* c1 and |c1|^2 expanded to skip rounding sqrt(1-eps)^2."""
+        eps = self.params.epsilon
+        inverse = _inverse_norm_squared(self.params)
+        beta = math.sqrt(eps * (1.0 - eps)) * cmath.exp(1j * self.params.phi) + (1.0 - eps) * self.params.alpha
+        return beta / inverse, (1.0 - eps) / inverse
+
+    def centered_moment(self, r: int, s: int) -> complex:
+        """<:(a^dag - <a^dag>)^r (a - <a>)^s:> by the displaced-qubit form of the module docstring."""
+        if r < 0 or s < 0:
+            raise ValueError(f"centered moment orders must be non-negative, got ({r}, {s})")
+        beta, p = self._qubit
+        down, up = -beta, -beta.conjugate()
+        value = (1 - r - s) * up**r * down**s
+        if r and s:
+            value += r * s * p * up ** (r - 1) * down ** (s - 1)
+        return value

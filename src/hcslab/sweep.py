@@ -7,8 +7,8 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .moments import ClosedFormMoments, HcsParams
-from .witnesses import QuadratureSpec, VacuumStateError, hm_squeezing, hoa_g
+from .moments import MAX_MOMENT_ORDER, ClosedFormMoments, HcsParams
+from .witnesses import MAX_SQUEEZING_ORDER, QuadratureSpec, VacuumStateError, hm_squeezing, hoa_g
 
 CSV_HEADER = "witness,order,epsilon,phi,psi,alpha_abs,alpha_arg,value,flag"
 
@@ -39,6 +39,10 @@ class SweepSpec:
                 raise ValueError(f"epsilon values must lie in [0, 1], got {eps!r}")
         if not self.orders or any(o < 1 or o != int(o) for o in self.orders):
             raise ValueError(f"orders must be a non-empty list of positive integers, got {self.orders!r}")
+        # g^(n+1) needs <a^dag^(n+1) a^(n+1)>, a moment of total order 2(n + 1)
+        cap = MAX_SQUEEZING_ORDER if self.witness == "squeezing" else MAX_MOMENT_ORDER // 2 - 1
+        if max(self.orders) > cap:
+            raise ValueError(f"{self.witness} orders must not exceed {cap}, got {max(self.orders)}")
         if not 0.0 <= self.alpha_abs_min <= self.alpha_abs_max:
             raise ValueError(
                 f"need 0 <= alpha_abs_min <= alpha_abs_max, got "
@@ -124,10 +128,6 @@ def _write_to(specs, handle) -> int:
             handle.write(",".join(_fmt(x) for x in row) + "\n")
             count += 1
     return count
-
-
-def run_sweep(spec: SweepSpec, out) -> int:
-    return write_sweeps([spec], out)
 
 
 _FULL_AXIS = dict(alpha_abs_min=0.0, alpha_abs_max=4.0, alpha_steps=81)

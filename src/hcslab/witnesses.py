@@ -1,10 +1,10 @@
 """Higher-order squeezing and antibunching witnesses.
 
-Everything here works on a *moment provider*: any object exposing
-``moment(n, m) -> complex`` (the expectation <a^dag^n a^m>) and
-``mean_a() -> complex`` for one fixed state.  Both the closed-form engine and
-the truncated-Fock oracle implement that interface, so each witness can be
-evaluated through two fully independent routes and cross-checked.
+Everything here works on a *moment provider*: any object exposing, for one
+fixed state, ``moment(n, m)`` = <a^dag^n a^m> and ``centered_moment(r, s)`` =
+<:(a^dag - <a^dag>)^r (a - <a>)^s:>.  The closed-form engine computes centered
+moments from the displaced-qubit form of :mod:`hcslab.moments`, the Fock oracle
+from its ladder stacks, so each witness has two fully independent routes.
 
 The 2n-order quadrature variance splits as
 
@@ -35,7 +35,7 @@ MAX_SQUEEZING_ORDER = 5
 class MomentProvider(Protocol):
     def moment(self, n: int, m: int) -> complex: ...
 
-    def mean_a(self) -> complex: ...
+    def centered_moment(self, r: int, s: int) -> complex: ...
 
 
 class VacuumStateError(ValueError):
@@ -95,64 +95,25 @@ def _real_part(value: complex, what: str) -> float:
     return value.real
 
 
-def _centered_moments(provider: MomentProvider, max_order: int) -> dict[tuple[int, int], complex]:
-    """Normally ordered centered moments <:(a^dag - <a^dag>)^r (a - <a>)^s:>.
+def normally_ordered_central_moment(provider: MomentProvider, quad: QuadratureSpec, k: int) -> float:
+    """<:(dX_psi)^k:> = (C/2)^(k/2) sum_l C(k, l) e^{i(k-2l) psi} <:(a^dag - <a^dag>)^(k-l) (a - <a>)^l:>.
 
-    Each raw moment enters only through its deviation from the factorized
-    product <a^dag>^u <a>^v: the pure-product contribution telescopes to zero
-    identically, so dropping it is exact and keeps every term at the scale of
-    the connected part.  For a coherent state the deviations vanish to the
-    last bit and all centered moments come out exactly zero.
+    This is the double-binomial expansion of the quadrature power over the raw
+    moments, regrouped as one binomial sum of the provider's centered moments
+    so that the huge mutually cancelling terms of the raw expansion never appear.
     """
-    mean = complex(provider.mean_a())
-    meanc = mean.conjugate()
-
-    dev: dict[tuple[int, int], complex] = {}
-    for u in range(max_order + 1):
-        for v in range(max_order + 1 - u):
-            dev[u, v] = complex(provider.moment(u, v)) - meanc**u * mean**v
-
-    centered: dict[tuple[int, int], complex] = {}
-    for r in range(max_order + 1):
-        for s in range(max_order + 1 - r):
-            res: list[float] = []
-            ims: list[float] = []
-            for u in range(r + 1):
-                cu = comb(r, u) * (-meanc) ** (r - u)
-                for v in range(s + 1):
-                    term = cu * comb(s, v) * (-mean) ** (s - v) * dev[u, v]
-                    res.append(term.real)
-                    ims.append(term.imag)
-            centered[r, s] = complex(fsum(res), fsum(ims))
-    return centered
-
-
-def _assemble_central_moment(
-    centered: dict[tuple[int, int], complex], quad: QuadratureSpec, k: int
-) -> float:
+    if not 1 <= k <= MAX_CENTRAL_ORDER:
+        raise ValueError(f"central moment order must lie in [1, {MAX_CENTRAL_ORDER}], got {k}")
+    centered = provider.centered_moment
     res: list[float] = []
     ims: list[float] = []
     for l in range(k + 1):
-        term = comb(k, l) * cmath.exp(1j * (k - 2 * l) * quad.psi) * centered[k - l, l]
+        term = comb(k, l) * cmath.exp(1j * (k - 2 * l) * quad.psi) * centered(k - l, l)
         res.append(term.real)
         ims.append(term.imag)
     scale = (quad.commutator_c / 2.0) ** (k / 2.0)
     total = complex(fsum(res) * scale, fsum(ims) * scale)
     return _real_part(total, f"<:(dX)^{k}:>")
-
-
-def normally_ordered_central_moment(provider: MomentProvider, quad: QuadratureSpec, k: int) -> float:
-    """<:(dX_psi)^k:> for the provider's state.
-
-    Algebraically this is the double-binomial expansion of the quadrature
-    power over the raw moments; it is evaluated here through the centered
-    moments of :func:`_centered_moments`, which is the same polynomial
-    regrouped so that the huge mutually cancelling terms of the raw expansion
-    never appear.
-    """
-    if not 1 <= k <= MAX_CENTRAL_ORDER:
-        raise ValueError(f"central moment order must lie in [1, {MAX_CENTRAL_ORDER}], got {k}")
-    return _assemble_central_moment(_centered_moments(provider, k), quad, k)
 
 
 def hm_squeezing(provider: MomentProvider, quad: QuadratureSpec, n: int) -> SqueezingResult:
@@ -164,11 +125,10 @@ def hm_squeezing(provider: MomentProvider, quad: QuadratureSpec, n: int) -> Sque
     if not 1 <= n <= MAX_SQUEEZING_ORDER:
         raise ValueError(f"squeezing order must lie in [1, {MAX_SQUEEZING_ORDER}], got {n}")
     c = quad.commutator_c
-    centered = _centered_moments(provider, 2 * n)
     terms = []
     for m in range(n):
         weight = math.factorial(2 * n) // (math.factorial(2 * m + 2) * math.factorial(n - m - 1))
-        terms.append(weight * (c / 4.0) ** (n - m - 1) * _assemble_central_moment(centered, quad, 2 * m + 2))
+        terms.append(weight * (c / 4.0) ** (n - m - 1) * normally_ordered_central_moment(provider, quad, 2 * m + 2))
     s_value = fsum(terms)
     benchmark = double_factorial(2 * n - 1) * (c / 2.0) ** n
     return SqueezingResult(

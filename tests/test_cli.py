@@ -47,6 +47,36 @@ class TestSweepCommand:
         assert code == EXIT_IO
         capsys.readouterr()
 
+    @pytest.mark.parametrize("witness,order", [("squeezing", 6), ("antibunching", 12)])
+    def test_order_above_cap_is_usage_error_and_writes_nothing(self, tmp_path, capsys, witness, order):
+        out = tmp_path / "x.csv"
+        code = run_cli("sweep", "--witness", witness, "--orders", f"1,{order}", "--out", str(out))
+        assert code == EXIT_USAGE
+        assert "exceed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("witness,order", [("squeezing", 5), ("antibunching", 11)])
+    def test_order_at_cap_is_accepted(self, tmp_path, witness, order):
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "sweep", "--witness", witness, "--orders", str(order), "--alpha-min", "0.5",
+            "--alpha-max", "4", "--alpha-steps", "3", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 3
+
+    def test_missing_config_is_io_error(self, tmp_path, capsys):
+        code = run_cli("sweep", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "x.csv"))
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "cannot read" in err and len(err.strip().splitlines()) == 1
+
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("alpha-steps 5\n")
+        assert run_cli("figure", "3", "--config", str(config)) == EXIT_USAGE
+        assert "key=value" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "sweep.cfg"
         config.write_text("witness=squeezing\nalpha-steps=5\nalpha-max=1\nepsilon=0.5\norders=1\n")
@@ -74,6 +104,11 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "overall: PASS" in out
         assert "worst=" in out
+
+    def test_large_alpha_state_passes(self, capsys):
+        code = run_cli("validate", "--alpha-abs", "8", "--epsilon", "0.5", "--phi", "0", "--alpha-arg", "0")
+        assert code == EXIT_OK
+        assert "overall: PASS" in capsys.readouterr().out
 
     def test_forced_small_dimension_reports_truncation_class(self, capsys):
         code = run_cli(

@@ -9,7 +9,7 @@ from hcslab.moments import HcsParams
 from hcslab.heralding import (
     DegenerateBranchError,
     HeraldingParams,
-    _rails_after_bs2,
+    _d1_rail,
     branch_coefficients,
     map_to_hcs,
     simulate_herald,
@@ -121,8 +121,10 @@ class TestSimulateHerald:
 
     def test_joint_state_unitary_before_projection(self):
         hp = HeraldingParams(0.8, 0.6, 1.1, 0.07, 1.7 + 0.4j, "exact")
-        d1, d2 = _rails_after_bs2(hp, 48)
-        total = float(np.sum(np.abs(d1) ** 2) + np.sum(np.abs(d2) ** 2))
+        # the D2 rail i r b + t c is, up to a phase, the D1 rail t' b + i r' c
+        # with t' = r, r' = t and theta advanced by pi
+        mirror = HeraldingParams(0.6, 0.8, 1.1 + math.pi, 0.07, 1.7 + 0.4j, "exact")
+        total = sum(float(np.sum(np.abs(_d1_rail(h, 48)) ** 2)) for h in (hp, mirror))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_success_probability_in_unit_interval_and_continuous(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hcslab.fock import build_hcs, numeric_moment
+from hcslab.fock import FockMoments, build_hcs, choose_truncation, numeric_moment
 from hcslab.moments import (
     MAX_MOMENT_ORDER,
     ClosedFormMoments,
@@ -14,6 +14,7 @@ from hcslab.moments import (
     moment,
     normalization,
 )
+from hcslab.validation import WITNESS_TOL
 
 SAMPLE_PARAMS = [
     HcsParams(0.0, 0.0, 1.0),
@@ -160,3 +161,50 @@ class TestClosedFormMoments:
     def test_mean_a_is_first_moment(self):
         provider = ClosedFormMoments(HcsParams(0.3, 0.9, 1.4 - 0.2j))
         assert provider.mean_a() == provider.moment(0, 1)
+
+
+class TestCenteredMoments:
+    def test_matches_fock_oracle_on_random_states(self):
+        # the Fock route applies (a - <a>) up to max(r, s) times in double
+        # precision; above r + s = 6 it drifts past WITNESS_TOL at large |alpha|
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            params = HcsParams(
+                rng.uniform(0, 1),
+                rng.uniform(0, 2 * math.pi),
+                rng.uniform(0, 8) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
+            )
+            closed = ClosedFormMoments(params)
+            oracle = FockMoments(build_hcs(params, choose_truncation(params.alpha, headroom=8)))
+            for r in range(7):
+                for s in range(7 - r):
+                    assert abs(closed.centered_moment(r, s) - oracle.centered_moment(r, s)) <= WITNESS_TOL, (
+                        params,
+                        r,
+                        s,
+                    )
+
+    @pytest.mark.parametrize("params", SAMPLE_PARAMS)
+    def test_low_orders_and_hermiticity(self, params):
+        provider = ClosedFormMoments(params)
+        assert provider.centered_moment(0, 0) == 1.0
+        assert provider.centered_moment(1, 0) == 0.0 and provider.centered_moment(0, 1) == 0.0
+        # <:|da|^2:> = <a^dag a> - |<a>|^2
+        assert provider.centered_moment(1, 1).real == pytest.approx(
+            mean_number(params) - abs(mean_a(params)) ** 2, abs=1e-12
+        )
+        for r in range(5):
+            for s in range(5):
+                expected = provider.centered_moment(r, s).conjugate()
+                assert provider.centered_moment(s, r) == pytest.approx(expected, rel=1e-15, abs=1e-300)
+
+    def test_bounded_at_huge_alpha(self):
+        # |beta|^2 <= 1/4 keeps every term small however large |alpha| is
+        provider = ClosedFormMoments(HcsParams(0.5, 0.3, 1e6))
+        for r in range(7):
+            for s in range(max(0, 2 - r), 7 - r):
+                assert abs(provider.centered_moment(r, s)) < 1e-5
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            ClosedFormMoments(HcsParams(0.5, 0.0, 1.0)).centered_moment(-1, 2)

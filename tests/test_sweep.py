@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hcslab.sweep import CSV_HEADER, SweepSpec, figure_sweeps, iter_rows, run_sweep, write_sweeps
+from hcslab.sweep import CSV_HEADER, SweepSpec, figure_sweeps, iter_rows, write_sweeps
 
 SMALL_SQUEEZING = SweepSpec(
     "squeezing", (0.25, 0.75), (1, 2), alpha_abs_min=0.0, alpha_abs_max=2.0, alpha_steps=5
@@ -75,9 +75,19 @@ class TestRows:
         assert len(rows) == 2 * 3 - 1
         assert "vacuum" in capsys.readouterr().err
 
+    def test_high_order_squeezing_curve_is_complete(self):
+        # generic phases used to trip the imaginary-residue guard from |alpha| ~ 2.3
+        spec = SweepSpec("squeezing", (0.5,), (4,), phi=1.0, psi=0.7, alpha_arg=0.3)
+        assert len(list(iter_rows(spec))) == 81
+
+    @pytest.mark.parametrize("witness,order", [("squeezing", 6), ("antibunching", 12)])
+    def test_spec_rejects_order_above_cap(self, witness, order):
+        with pytest.raises(ValueError, match="exceed"):
+            SweepSpec(witness, (0.5,), (1, order))
+
     def test_written_file_has_lf_endings(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        run_sweep(SMALL_SQUEEZING, str(out))
+        write_sweeps([SMALL_SQUEEZING], str(out))
         data = out.read_bytes()
         assert b"\r" not in data
         assert data.decode("utf-8").splitlines()[0] == CSV_HEADER

@@ -46,8 +46,8 @@ class BrokenProvider:
     def moment(self, n, m):
         return 1.0 + 0.5j
 
-    def mean_a(self):
-        return 0.3 + 0.1j
+    def centered_moment(self, r, s):
+        return 1.0 + 0.5j
 
 
 class TestDoubleFactorial:
@@ -122,6 +122,15 @@ class TestHmSqueezing:
         result = hm_squeezing(ClosedFormMoments(HcsParams(0.75, 0.0, 0.0)), Q0, 2)
         assert result.s_value == pytest.approx(-0.234375, abs=1e-14)
         assert result.squeezed
+
+    def test_huge_alpha_leading_order(self):
+        # at real alpha = A >> 1 and eps = 1/2, beta ~ 1/A and p ~ 1/A^2, so
+        # <:dX^2:> ~ -1/A^2 dominates: S^(2n) ~ -(2n)! / (2 (n-1)!) 4^(1-n) / A^2
+        big = 1e6
+        provider = ClosedFormMoments(HcsParams(0.5, 0.0, big))
+        for n in range(1, 6):
+            leading = -math.factorial(2 * n) / (2 * math.factorial(n - 1)) / 4 ** (n - 1) / big**2
+            assert hm_squeezing(provider, Q0, n).s_value == pytest.approx(leading, rel=1e-5)
 
     def test_identity_total_variance(self):
         result = hm_squeezing(ClosedFormMoments(HcsParams(0.3, 1.1, 1.7)), Q90, 3)
