@@ -14,7 +14,7 @@ import sys
 
 from . import validation
 from .fock import TruncationPolicy, build_hcs, fidelity
-from .heralding import DegenerateBranchError, HeraldingParams, simulate_herald
+from .heralding import KERR_MODES, DegenerateBranchError, HeraldingParams, simulate_herald
 from .sweep import SweepSpec, figure_sweeps, write_sweeps
 
 EXIT_OK = 0
@@ -178,29 +178,31 @@ def _cmd_validate(opt: _Options) -> int:
 
 
 def _cmd_herald(opt: _Options) -> int:
-    t = opt.get("t", None, float)
-    r = opt.get("r", None, float)
-    if t is None and r is None:
-        t = r = math.sqrt(0.5)  # exactly balanced by default
-    elif r is None:
-        r = math.sqrt(max(0.0, 1.0 - t * t))
-    elif t is None:
-        t = math.sqrt(max(0.0, 1.0 - r * r))
-    theta = opt.get("theta", 0.0, float)
-    xpm = opt.get("xpm", 0.01, float)
-    alpha_abs = opt.get("alpha-abs", 1.0, float)
-    alpha_arg = opt.get("alpha-arg", 0.0, float)
-    kerr_mode = opt.get("kerr-mode", "linearized", str)
-    tail_tol = opt.get("truncation-tol", 1e-12, float)
-    alpha = alpha_abs * complex(math.cos(alpha_arg), math.sin(alpha_arg))
-    policy = TruncationPolicy(tail_tol=tail_tol)
     try:
+        t = opt.get("t", None, float)
+        r = opt.get("r", None, float)
+        if t is None and r is None:
+            t = r = math.sqrt(0.5)  # exactly balanced by default
+        elif r is None:
+            r = math.sqrt(max(0.0, 1.0 - t * t))
+        elif t is None:
+            t = math.sqrt(max(0.0, 1.0 - r * r))
+        theta = opt.get("theta", 0.0, float)
+        xpm = opt.get("xpm", 0.01, float)
+        alpha_abs = opt.get("alpha-abs", 1.0, float)
+        alpha_arg = opt.get("alpha-arg", 0.0, float)
+        kerr_mode = opt.get("kerr-mode", "linearized", str)
+        if kerr_mode not in KERR_MODES:
+            raise ValueError(f"kerr-mode must be one of {KERR_MODES}, got {kerr_mode!r}")
+        tail_tol = opt.get("truncation-tol", 1e-12, float)
+        alpha = alpha_abs * complex(math.cos(alpha_arg), math.sin(alpha_arg))
+        policy = TruncationPolicy(tail_tol=tail_tol)
         runs = {
             mode: simulate_herald(
                 HeraldingParams(t_bs2=t, r_bs2=r, theta=theta, phi_xpm=xpm, alpha=alpha, kerr_mode=mode),
                 policy,
             )
-            for mode in ("linearized", "exact")
+            for mode in KERR_MODES
         }
     except DegenerateBranchError as exc:
         print(f"hcslab herald: degenerate settings: {exc}", file=sys.stderr)

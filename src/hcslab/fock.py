@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
 
 from .moments import HcsParams, MomentCache
 from .witnesses import QuadratureSpec
@@ -104,16 +104,12 @@ def choose_truncation(alpha, policy: TruncationPolicy | None = None, headroom: i
 
 
 def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """Raw amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) of |alpha>.
-
-    The factorial square roots are accumulated one level at a time: n!
-    overflows doubles at n = 171 even though the amplitude ratios stay tame.
-    """
-    ratios = alpha / np.sqrt(np.arange(1, dim))
-    amps = np.empty(dim, dtype=np.complex128)
-    amps[0] = 1.0
-    np.cumprod(ratios, out=amps[1:])
-    return math.exp(-0.5 * abs(alpha) ** 2) * amps
+    """Amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) of |alpha>, built in log space:
+    alpha^n, n! and e^{|alpha|^2/2} overflow doubles long before the amplitudes do."""
+    if alpha == 0:
+        return np.eye(1, dim, dtype=np.complex128)[0]
+    n = np.arange(dim)
+    return np.exp(n * cmath.log(alpha) - 0.5 * (gammaln(n + 1) + abs(alpha) ** 2))
 
 
 def _normalized_or_flag(raw: np.ndarray, tail_tol: float, what: str) -> FockVector:

@@ -5,20 +5,24 @@ The hybrid coherent state (HCS) is the normalized superposition
     N * [ sqrt(eps) |alpha>  +  sqrt(1 - eps) e^{i phi} a^dag |alpha> ],
 
 which interpolates between a coherent state (eps = 1) and a single-photon-added
-coherent state (eps = 0).  Every expectation value <a^dag^n a^m> reduces to a
-polynomial in alpha and alpha*, so this module evaluates moments exactly (up to
-double rounding) with no Fock-space truncation.  The brute-force counterpart in
-:mod:`hcslab.fock` recomputes everything numerically and never touches these
-formulas.
+coherent state (eps = 0).  As a^dag|alpha> = D(alpha)(|1> + alpha*|0>), the HCS
+is the displaced qubit N D(alpha)[c0|0> + c1|1>] with c1 = sqrt(1-eps) e^{i phi}
+and c0 = sqrt(eps) + c1 alpha*.  With beta = N^2 c0* c1 and p = N^2 |c1|^2, and
+D^dag a D = a + alpha, every moment is a qubit expectation with at most four
+terms, evaluated exactly (up to double rounding) with no Fock-space truncation.
+Raw moments take the displacement u = alpha,
 
-Centered moments need no raw moment.  As a^dag|alpha> = D(alpha)(|1> + alpha*|0>),
-the HCS is the displaced qubit N D(alpha)[c0|0> + c1|1>] with c1 = sqrt(1-eps)
-e^{i phi} and c0 = sqrt(eps) + c1 alpha*.  With beta = N^2 c0* c1 and
-p = N^2 |c1|^2 (so <a> = alpha + beta), every centered moment is two terms,
+    <a^dag^n a^m> = <q|(a^dag + u*)^n (a + u)^m|q>
+                  = u*^n u^m + m beta u*^n u^(m-1) + n beta* u*^(n-1) u^m + n m p u*^(n-1) u^(m-1),
+
+so <a> = alpha + beta.  Centered moments take u = -beta, where the cross
+terms fold into the first and two terms are left,
 
     <:(a^dag - <a^dag>)^r (a - <a>)^s:> = (1-r-s) (-beta*)^r (-beta)^s + r s (-beta*)^(r-1) (-beta)^(s-1) p,
 
-each bounded for any alpha since |beta|^2 = p (1 - p) <= 1/4.
+each bounded for any alpha since |beta|^2 = p (1 - p) <= 1/4.  The brute-force
+counterpart in :mod:`hcslab.fock` recomputes everything numerically and never
+touches these formulas.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 TWO_PI = 2.0 * math.pi
 
@@ -102,64 +106,47 @@ def normalization(params: HcsParams) -> float:
     return 1.0 / math.sqrt(_inverse_norm_squared(params))
 
 
-def moment(params: HcsParams, n: int, m: int) -> complex:
-    """<a^dag^n a^m> of the normalized state.
+def _qubit(params: HcsParams) -> tuple[complex, float]:
+    """(beta, p) of the module docstring, with c0* c1 and |c1|^2 expanded to skip rounding sqrt(1-eps)^2."""
+    eps = params.epsilon
+    inverse = _inverse_norm_squared(params)
+    beta = math.sqrt(eps * (1.0 - eps)) * cmath.exp(1j * params.phi) + (1.0 - eps) * params.alpha
+    return beta / inverse, (1.0 - eps) / inverse
 
-    The raw closed form carries a prefactor alpha*^(n-1) alpha^(m-1) that is
-    singular when written literally for n = 0, m = 0 or alpha = 0.  Here the
-    prefactor is distributed into the bracket, which leaves a plain polynomial:
-    every term with a negative residual power has an integer coefficient of
-    zero and is skipped, so alpha = 0 is a regular point.
+
+def _raw_moment(alpha: complex, beta: complex, p: float, n: int, m: int) -> complex:
+    """<a^dag^n a^m> by the four-term displaced-qubit form of the module docstring.
+
+    Each term is a coefficient times alpha*^j alpha^k, and the two cross terms
+    are summed before the rest, so swapping (n, m) conjugates every operation:
+    moment(m, n) is exactly conj(moment(n, m)) and <a^dag^k a^k> is exactly real.
     """
     _check_key(n, m)
-    eps = params.epsilon
-    a = params.alpha
-    ac = a.conjugate()
-    root = math.sqrt(eps * (1.0 - eps))
-    eip = cmath.exp(1j * params.phi)
+    ac = alpha.conjugate()
+    value = ac**n * alpha**m
+    cross = 0.0
+    if m:
+        cross = (m * beta) * (ac**n * alpha ** (m - 1))
+    if n:
+        cross += (n * beta.conjugate()) * (ac ** (n - 1) * alpha**m)
+    if n and m:
+        value += (n * m * p) * (ac ** (n - 1) * alpha ** (m - 1))
+    return value + cross
 
-    total = eps * ac**n * a**m
 
-    cross_plus = ac ** (n + 1) * a**m
-    if m > 0:
-        cross_plus += m * ac**n * a ** (m - 1)
-    cross_minus = ac**n * a ** (m + 1)
-    if n > 0:
-        cross_minus += n * ac ** (n - 1) * a**m
-    total += root * (eip * cross_plus + eip.conjugate() * cross_minus)
-
-    added = (n + m + 1) * ac**n * a**m + ac ** (n + 1) * a ** (m + 1)
-    if n > 0 and m > 0:
-        added += (n * m) * ac ** (n - 1) * a ** (m - 1)
-    total += (1.0 - eps) * added
-
-    return total / _inverse_norm_squared(params)
+def moment(params: HcsParams, n: int, m: int) -> complex:
+    """<a^dag^n a^m> of the normalized state, from the displaced qubit."""
+    return _raw_moment(params.alpha, *_qubit(params), n, m)
 
 
 def mean_a(params: HcsParams) -> complex:
-    """<a> from its dedicated closed form; equals moment(params, 0, 1) to rounding."""
-    eps = params.epsilon
-    a = params.alpha
-    root = math.sqrt(eps * (1.0 - eps))
-    eip = cmath.exp(1j * params.phi)
-    aa = abs(a) ** 2
-    total = eps * a + root * (eip * (1.0 + aa) + eip.conjugate() * a * a)
-    total += (1.0 - eps) * a * (2.0 + aa)
-    return total / _inverse_norm_squared(params)
+    """<a> = moment(params, 0, 1)."""
+    return moment(params, 0, 1)
 
 
 def mean_number(params: HcsParams) -> float:
-    """<a^dag a> from its dedicated closed form; agrees with moment(params, 1, 1)."""
-    eps = params.epsilon
-    aa = abs(params.alpha) ** 2
-    cross = (params.alpha * cmath.exp(-1j * params.phi)).real
-    value = (
-        (1.0 - eps)
-        + (3.0 - 2.0 * eps) * aa
-        + (1.0 - eps) * aa * aa
-        + 2.0 * math.sqrt(eps * (1.0 - eps)) * (1.0 + aa) * cross
-    )
-    return value / _inverse_norm_squared(params)
+    """<a^dag a> = moment(params, 1, 1), exactly real."""
+    return moment(params, 1, 1).real
 
 
 class MomentCache(dict):
@@ -176,12 +163,13 @@ class MomentCache(dict):
 
 
 class ClosedFormMoments:
-    """Moment provider of :mod:`hcslab.witnesses` over a fixed state: raw moments from
-    :func:`moment`, cached per (n, m), and centered moments from the displaced-qubit form."""
+    """Moment provider of :mod:`hcslab.witnesses` over a fixed state: raw moments cached per
+    (n, m) and centered moments, both from one (beta, p) computed at construction."""
 
     def __init__(self, params: HcsParams):
         self.params = params
-        self._raw = MomentCache(partial(moment, params))
+        self._beta, self._p = _qubit(params)
+        self._raw = MomentCache(partial(_raw_moment, params.alpha, self._beta, self._p))
 
     def moment(self, n: int, m: int) -> complex:
         return self._raw[n, m]
@@ -189,21 +177,13 @@ class ClosedFormMoments:
     def mean_a(self) -> complex:
         return self.moment(0, 1)
 
-    @cached_property
-    def _qubit(self) -> tuple[complex, float]:
-        """(beta, p) of the module docstring, with c0* c1 and |c1|^2 expanded to skip rounding sqrt(1-eps)^2."""
-        eps = self.params.epsilon
-        inverse = _inverse_norm_squared(self.params)
-        beta = math.sqrt(eps * (1.0 - eps)) * cmath.exp(1j * self.params.phi) + (1.0 - eps) * self.params.alpha
-        return beta / inverse, (1.0 - eps) / inverse
-
     def centered_moment(self, r: int, s: int) -> complex:
-        """<:(a^dag - <a^dag>)^r (a - <a>)^s:> by the displaced-qubit form of the module docstring."""
+        """<:(a^dag - <a^dag>)^r (a - <a>)^s:> by the two-term form of the module docstring:
+        the four-term raw form at u = -beta, left uncached."""
         if r < 0 or s < 0:
             raise ValueError(f"centered moment orders must be non-negative, got ({r}, {s})")
-        beta, p = self._qubit
-        down, up = -beta, -beta.conjugate()
+        down, up = -self._beta, -self._beta.conjugate()
         value = (1 - r - s) * up**r * down**s
         if r and s:
-            value += r * s * p * up ** (r - 1) * down ** (s - 1)
+            value += r * s * self._p * up ** (r - 1) * down ** (s - 1)
         return value

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from .fock import FockMoments, TruncationError, TruncationPolicy, build_hcs, choose_truncation, quadrature_central_moment
-from .moments import ClosedFormMoments, HcsParams, mean_number
+from .moments import ClosedFormMoments, HcsParams
 from .witnesses import QuadratureSpec, VacuumStateError, hm_squeezing, hoa_g
 
 DEFAULT_EPSILONS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -23,7 +23,6 @@ MOMENT_RTOL = 1e-9
 MOMENT_ATOL = 1e-12
 WITNESS_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-9
-MEAN_NUMBER_RTOL = 1e-12
 
 
 @dataclass
@@ -100,7 +99,6 @@ def run_validation(
     report = ValidationReport(grid_size=len(params_list))
 
     moments_worst = _Worst()
-    mean_n_worst = _Worst()
     squeezing_worst = _Worst()
     antibunching_worst = _Worst()
     reconstruction_worst = _Worst()
@@ -124,10 +122,6 @@ def run_validation(
                     err = abs(closed.moment(n, m) - reference)
                     tol = max(MOMENT_ATOL, MOMENT_RTOL * abs(reference))
                     moments_worst.update(err / tol, f"{where} (n={n},m={m})")
-
-            nbar = mean_number(params)
-            err = abs(nbar - closed.moment(1, 1).real)
-            mean_n_worst.update(err / max(MEAN_NUMBER_RTOL * abs(nbar), 1e-300), where)
 
             for psi in QUAD_PSIS:
                 quad = QuadratureSpec(psi=psi)
@@ -159,7 +153,6 @@ def run_validation(
 
     report.checks = [
         moments_worst.result(f"moments (n+m <= {MOMENT_TOTAL_ORDER})"),
-        mean_n_worst.result("mean photon number vs moment(1,1)"),
         squeezing_worst.result("squeezing S (closed vs oracle)"),
         antibunching_worst.result("antibunching g (closed vs oracle)"),
         reconstruction_worst.result("variance reconstruction (S + benchmark)"),

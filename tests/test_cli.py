@@ -65,6 +65,18 @@ class TestSweepCommand:
         assert code == EXIT_OK
         assert len(out.read_text().splitlines()) == 1 + 3
 
+    def test_high_order_antibunching_curve_is_complete(self, tmp_path):
+        # <a^dag^12 a^12> up to |alpha| = 4 must come out exactly real, or the
+        # imaginary-residue guard of hoa_g stops the curve half-way
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "sweep", "--witness", "antibunching", "--epsilon", "0.3", "--orders", "11", "--phi", "1.1",
+            "--alpha-arg", "0.4", "--alpha-min", "0.05", "--alpha-max", "4", "--alpha-steps", "81",
+            "--out", str(out),
+        )
+        assert code == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 81
+
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         code = run_cli("sweep", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "x.csv"))
         assert code == EXIT_IO
@@ -149,6 +161,18 @@ class TestHeraldCommand:
         code = run_cli("herald", "--theta", "0", "--xpm", "0")
         assert code == EXIT_USAGE
         assert "degenerate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["t=abc", "alpha-abs=big", "kerr-mode=fast"])
+    def test_unparsable_config_value_is_usage_error(self, tmp_path, capsys, line):
+        config = tmp_path / "herald.cfg"
+        config.write_text(line + "\n")
+        assert run_cli("herald", "--config", str(config)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("hcslab herald: ") and len(err.strip().splitlines()) == 1
+
+    def test_large_amplitude_runs(self, capsys):
+        assert run_cli("herald", "--alpha-abs", "40") == EXIT_OK
+        assert "fidelity linearized vs closed-form state" in capsys.readouterr().out
 
     def test_csv_append(self, tmp_path, capsys):
         out = tmp_path / "herald.csv"

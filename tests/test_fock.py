@@ -74,6 +74,13 @@ class TestBuildCoherent:
     def test_unit_norm(self):
         assert build_coherent(1.5 - 0.5j, 40).norm() == pytest.approx(1.0, abs=1e-14)
 
+    def test_large_amplitude_is_finite(self):
+        # alpha^n / sqrt(n!) and e^{-|alpha|^2/2} overflow and underflow doubles here
+        state = build_coherent(40, choose_truncation(40))
+        assert np.all(np.isfinite(state.amps))
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert numeric_moment(state, 1, 1) == pytest.approx(1600.0, rel=1e-12)
+
 
 class TestBuildHcs:
     def test_coherent_branch(self):

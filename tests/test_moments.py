@@ -85,6 +85,21 @@ class TestMoment:
         for n, m in [(0, 1), (1, 2), (2, 2), (3, 1), (5, 2), (0, 4)]:
             assert moment(params, n, m) == pytest.approx(moment(params, m, n).conjugate(), abs=1e-12)
 
+    def test_conjugation_symmetry_is_exact(self):
+        # the diagonal must be exactly real: hoa_g rejects any imaginary
+        # residue above 1e-10, and <a^dag^12 a^12> is ~1e13 at |alpha| = 12
+        rng = np.random.default_rng(7)
+        states = [HcsParams(0.0, 0.0, 12.0), HcsParams(1.0, 0.3, 12.0j), HcsParams(0.5, 2.0, 0.0)]
+        for _ in range(30):
+            alpha = rng.uniform(0, 12) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            states.append(HcsParams(rng.uniform(0, 1), rng.uniform(0, 2 * math.pi), alpha))
+        for params in states:
+            for n in range(13):
+                for m in range(13 - n):
+                    assert moment(params, m, n) == moment(params, n, m).conjugate(), (params, n, m)
+                if 2 * n <= 12:
+                    assert moment(params, n, n).imag == 0.0, (params, n)
+
     def test_coherent_limit_is_exact(self):
         alpha = 1.7 - 0.9j
         for n, m in [(0, 0), (1, 0), (2, 3), (4, 4)]:
