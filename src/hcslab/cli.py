@@ -67,9 +67,10 @@ class _Options:
         return default
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, oracle: bool) -> None:
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--truncation-tol", type=float, help="oracle tail tolerance (default 1e-12)")
+    if oracle:
+        parser.add_argument("--truncation-tol", type=float, help="oracle tail tolerance (default 1e-12)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,13 +91,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--alpha-steps", type=int)
     sweep.add_argument("--alpha-arg", type=float, help="argument of alpha along the sweep ray")
     sweep.add_argument("--out", help="output CSV path (default: standard output)")
-    _add_common(sweep)
+    _add_common(sweep, oracle=False)
     sweep.set_defaults(handler=_cmd_sweep)
 
     figure = sub.add_parser("figure", help="canned sweep presets emitting standard figure data")
     figure.add_argument("name", choices=("2a", "2b", "3", "4"))
     figure.add_argument("--out", help="output CSV path (default: figure_<name>.csv)")
-    _add_common(figure)
+    _add_common(figure, oracle=False)
     figure.set_defaults(handler=_cmd_figure)
 
     validate = sub.add_parser("validate", help="cross-check the closed forms against the Fock oracle")
@@ -105,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--alpha-abs", type=_float_list)
     validate.add_argument("--alpha-arg", type=_float_list)
     validate.add_argument("--force-dim", type=int, help="override the automatic truncation (debugging)")
-    _add_common(validate)
+    _add_common(validate, oracle=True)
     validate.set_defaults(handler=_cmd_validate)
 
     herald = sub.add_parser("herald", help="simulate the heralded generation scheme")
@@ -117,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     herald.add_argument("--alpha-arg", type=float)
     herald.add_argument("--kerr-mode", choices=("linearized", "exact"))
     herald.add_argument("--out", help="CSV file to append the outcome to")
-    _add_common(herald)
+    _add_common(herald, oracle=True)
     herald.set_defaults(handler=_cmd_herald)
 
     return parser

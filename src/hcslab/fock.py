@@ -17,12 +17,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .moments import HcsParams, MomentCache
+from .moments import HcsParams
 from .witnesses import QuadratureSpec
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -34,6 +34,9 @@ QUADRATURE_EDGE_TOL = 1e-10
 
 NORMALIZATION_TOL = 1e-6
 
+#: Smallest basis dimension :func:`choose_truncation` returns.
+MIN_DIM = 16
+
 
 class TruncationError(RuntimeError):
     """The truncated basis is too small for the requested construction."""
@@ -41,16 +44,13 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Maximum acceptable truncated probability mass and the dimension floor."""
+    """Maximum acceptable truncated probability mass."""
 
     tail_tol: float = DEFAULT_TAIL_TOL
-    min_dim: int = 16
 
     def __post_init__(self):
         if not (math.isfinite(self.tail_tol) and self.tail_tol > 0.0):
             raise ValueError(f"tail_tol must be positive, got {self.tail_tol!r}")
-        if self.min_dim < 16:
-            raise ValueError(f"min_dim must be at least 16, got {self.min_dim!r}")
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,9 @@ def _poisson_tail(mean: float, k: int) -> float:
 def choose_truncation(alpha, policy: TruncationPolicy | None = None, headroom: int = 0) -> int:
     """Pick a basis dimension adequate for a coherent amplitude alpha.
 
-    Starts from dim = |alpha|^2 + 10 sqrt(|alpha|^2 + 1) plus caller headroom
-    (largest ladder power used + 2 protects powered-quadrature spreading) and
-    grows until the Poisson tail beyond dim - 2 is below the policy tolerance.
+    Starts from the larger of MIN_DIM and |alpha|^2 + 10 sqrt(|alpha|^2 + 1) plus
+    caller headroom (largest ladder power used + 2 protects powered-quadrature
+    spreading) and grows until the Poisson tail beyond dim - 2 is below the policy tolerance.
     Monotone nondecreasing in |alpha|.
     """
     if policy is None:
@@ -97,7 +97,7 @@ def choose_truncation(alpha, policy: TruncationPolicy | None = None, headroom: i
     if headroom < 0:
         raise ValueError("headroom must be non-negative")
     mu = abs(complex(alpha)) ** 2
-    dim = max(policy.min_dim, math.ceil(mu + 10.0 * math.sqrt(mu + 1.0)) + headroom)
+    dim = max(MIN_DIM, math.ceil(mu + 10.0 * math.sqrt(mu + 1.0)) + headroom)
     while _poisson_tail(mu, dim - 2) >= policy.tail_tol:
         dim += 1
     return dim
@@ -211,19 +211,19 @@ def fidelity(u: FockVector, v: FockVector) -> float:
 
 
 class FockMoments:
-    """Moment provider over one stored vector; keeps its two ladder stacks and caches both kinds of moment."""
+    """Moment provider over one stored vector: raw and centered moments pair entries of its two ladder stacks."""
 
     def __init__(self, state: FockVector):
         self.state = state
-        lowered, centered = [state.amps], [state.amps]
-        raw = self._raw = MomentCache(partial(_ladder_moment, state, lowered, 0.0))
-        self._centered = MomentCache(lambda r, s: _ladder_moment(state, centered, raw[0, 1], r, s))
+        self._lowered, self._centered = [state.amps], [state.amps]
+
+    @cached_property
+    def _mean(self) -> complex:
+        """The numeric <a>, the shift of the centered stack; taken on first use, so building never raises."""
+        return _ladder_moment(self.state, self._lowered, 0.0, 0, 1)
 
     def moment(self, n: int, m: int) -> complex:
-        return self._raw[n, m]
-
-    def mean_a(self) -> complex:
-        return self.moment(0, 1)
+        return _ladder_moment(self.state, self._lowered, 0.0, n, m)
 
     def centered_moment(self, r: int, s: int) -> complex:
-        return self._centered[r, s]
+        return _ladder_moment(self.state, self._centered, self._mean, r, s)

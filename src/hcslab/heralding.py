@@ -81,8 +81,6 @@ class HeraldOutcome:
     state_a: FockVector
     success_prob: float
     mapped: HcsParams
-    branch_c1: complex
-    branch_c2: complex
 
 
 def branch_coefficients(hp: HeraldingParams) -> tuple[complex, complex]:
@@ -93,18 +91,13 @@ def branch_coefficients(hp: HeraldingParams) -> tuple[complex, complex]:
 
 def map_to_hcs(hp: HeraldingParams) -> HcsParams:
     """The (epsilon, phi, alpha) realized by a D1 click; pure arithmetic."""
-    return _hcs_from_branches(*branch_coefficients(hp), hp.alpha)
-
-
-def _hcs_from_branches(c1: complex, c2: complex, alpha: complex) -> HcsParams:
+    c1, c2 = branch_coefficients(hp)
     w1, w2 = abs(c1) ** 2, abs(c2) ** 2
     if w1 + w2 == 0.0:
-        raise DegenerateBranchError(
-            "c1 = c2 = 0: the chosen settings send no amplitude to D1"
-        )
+        raise DegenerateBranchError("c1 = c2 = 0: the chosen settings send no amplitude to D1")
     epsilon = w1 / (w1 + w2)
     phi = cmath.phase(c2) - cmath.phase(c1)
-    return HcsParams(epsilon=epsilon, phi=phi, alpha=alpha)
+    return HcsParams(epsilon=epsilon, phi=phi, alpha=hp.alpha)
 
 
 def _d1_rail(hp: HeraldingParams, dim: int) -> np.ndarray:
@@ -139,18 +132,11 @@ def simulate_herald(hp: HeraldingParams, policy: TruncationPolicy | None = None)
     """
     if policy is None:
         policy = TruncationPolicy()
-    c1, c2 = branch_coefficients(hp)
-    mapped = _hcs_from_branches(c1, c2, hp.alpha)  # raises on the degenerate branch case
+    mapped = map_to_hcs(hp)  # raises on the degenerate branch case
     dim = choose_truncation(hp.alpha, policy, headroom=3)
     d1 = _d1_rail(hp, dim)
     weight = float(np.sum(np.abs(d1) ** 2))
     if weight <= 0.0:
         raise DegenerateBranchError("no amplitude reached D1")
     state_a = _normalized_or_flag(d1, policy.tail_tol, "heralded state")
-    return HeraldOutcome(
-        state_a=state_a,
-        success_prob=min(1.0, weight),
-        mapped=mapped,
-        branch_c1=c1,
-        branch_c2=c2,
-    )
+    return HeraldOutcome(state_a=state_a, success_prob=min(1.0, weight), mapped=mapped)

@@ -30,12 +30,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
 
 TWO_PI = 2.0 * math.pi
 
-#: Largest accepted n + m for :func:`moment`.  Keeps the polynomial evaluation
-#: comfortably inside double range for |alpha| <= 8.
+#: Largest accepted n + m for :func:`moment`.  The closed forms are verified
+#: against a 60-digit reference for |alpha| <= 12, where this cap keeps every
+#: term comfortably inside double range.
 MAX_MOMENT_ORDER = 24
 
 
@@ -149,37 +149,20 @@ def mean_number(params: HcsParams) -> float:
     return moment(params, 1, 1).real
 
 
-class MomentCache(dict):
-    """(n, m) -> moment memo of one provider: a hit is one dict lookup, a miss calls ``compute(n, m)``."""
-
-    __slots__ = ("compute",)
-
-    def __init__(self, compute):
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(*key)
-        return value
-
-
 class ClosedFormMoments:
-    """Moment provider of :mod:`hcslab.witnesses` over a fixed state: raw moments cached per
-    (n, m) and centered moments, both from one (beta, p) computed at construction."""
+    """Moment provider of :mod:`hcslab.witnesses` over a fixed state: raw and centered
+    moments, both from one (beta, p) computed at construction."""
 
     def __init__(self, params: HcsParams):
         self.params = params
         self._beta, self._p = _qubit(params)
-        self._raw = MomentCache(partial(_raw_moment, params.alpha, self._beta, self._p))
 
     def moment(self, n: int, m: int) -> complex:
-        return self._raw[n, m]
-
-    def mean_a(self) -> complex:
-        return self.moment(0, 1)
+        return _raw_moment(self.params.alpha, self._beta, self._p, n, m)
 
     def centered_moment(self, r: int, s: int) -> complex:
         """<:(a^dag - <a^dag>)^r (a - <a>)^s:> by the two-term form of the module docstring:
-        the four-term raw form at u = -beta, left uncached."""
+        the four-term raw form at u = -beta."""
         if r < 0 or s < 0:
             raise ValueError(f"centered moment orders must be non-negative, got ({r}, {s})")
         down, up = -self._beta, -self._beta.conjugate()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from math import comb, fsum
 from typing import Protocol
@@ -150,5 +151,8 @@ def hoa_g(provider: MomentProvider, n: int) -> AntibunchingResult:
     numerator = _real_part(complex(provider.moment(n + 1, n + 1)), f"<a^dag^{n + 1} a^{n + 1}>")
     if numerator < -IMAG_RESIDUE_TOL:
         raise ValueError(f"<a^dag^{n + 1} a^{n + 1}> should be non-negative, got {numerator:.3e}")
-    g_value = max(0.0, numerator) / occupation ** (n + 1)
+    denominator = occupation ** (n + 1)
+    if denominator < sys.float_info.min:  # a coherent state within ~1e-13 of the vacuum at n = 11
+        raise VacuumStateError(f"g^({n + 1}) is undefined in double precision: <a^dag a>^{n + 1} underflows")
+    g_value = max(0.0, numerator) / denominator
     return AntibunchingResult(order_n=n, g_value=g_value, antibunched=g_value < 1.0)

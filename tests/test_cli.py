@@ -42,6 +42,14 @@ class TestSweepCommand:
             run_cli("sweep", "--bogus")
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", [["sweep"], ["figure", "3"]])
+    def test_truncation_tol_is_not_accepted(self, capsys, command):
+        # only validate and herald build Fock states, so only they take the oracle tolerance
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*command, "--truncation-tol", "1e-3")
+        assert excinfo.value.code == 2
+        assert "--truncation-tol" in capsys.readouterr().err
+
     def test_unwritable_path_is_io_error(self, capsys):
         code = run_cli("sweep", "--alpha-steps", "2", "--out", "/nonexistent-dir/x.csv")
         assert code == EXIT_IO

@@ -22,7 +22,7 @@ Q90 = QuadratureSpec(math.pi / 2)
 
 def direct_expansion_nocm(provider, quad, k):
     """Reference route: the raw double-binomial expansion over uncentered moments."""
-    mean = complex(provider.mean_a())
+    mean = complex(provider.moment(0, 1))
     meanc = mean.conjugate()
     total = 0j
     for p in range(k + 1):
@@ -204,6 +204,12 @@ class TestHoaG:
     def test_vacuum_signalled(self):
         with pytest.raises(VacuumStateError):
             hoa_g(ClosedFormMoments(HcsParams(1.0, 0.0, 0.0)), 1)
+
+    def test_underflowing_denominator_signalled_as_vacuum(self):
+        # <a^dag a>^12 = 1e-336 underflows; the ratio used to divide by zero
+        with pytest.raises(VacuumStateError):
+            hoa_g(ClosedFormMoments(HcsParams(1.0, 0.0, 1e-14)), 11)
+        assert hoa_g(ClosedFormMoments(HcsParams(1.0, 0.0, 1e-12)), 11).g_value == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
