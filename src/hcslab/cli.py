@@ -52,11 +52,15 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 class _Options:
-    """Merged view of CLI args, config file entries, and defaults."""
+    """Merged view of CLI args, config file entries (keys: the subcommand's flags), and defaults."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = _load_config(args.config) if getattr(args, "config", None) else {}
+        known = {dest.replace("_", "-") for dest in vars(args)} - {"command", "handler", "config", "name"}
+        unknown = sorted(set(self.config) - known)
+        if unknown:
+            raise ValueError(f"unknown config key(s) {', '.join(unknown)}; expected one of {', '.join(sorted(known))}")
 
     def get(self, key: str, default, parse):
         cli_value = getattr(self.args, key.replace("-", "_"), None)
@@ -241,9 +245,7 @@ def _cmd_herald(opt: _Options) -> int:
         try:
             fresh = not os.path.exists(out) or os.path.getsize(out) == 0
             with open(out, "a", encoding="utf-8", newline="\n") as handle:
-                if fresh:
-                    handle.write(header + "\n")
-                handle.write(row + "\n")
+                handle.write((header + "\n" if fresh else "") + row + "\n")
         except OSError as exc:
             print(f"hcslab herald: cannot write {out!r}: {exc}", file=sys.stderr)
             return EXIT_IO

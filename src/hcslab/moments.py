@@ -15,14 +15,16 @@ Raw moments take the displacement u = alpha,
     <a^dag^n a^m> = <q|(a^dag + u*)^n (a + u)^m|q>
                   = u*^n u^m + m beta u*^n u^(m-1) + n beta* u*^(n-1) u^m + n m p u*^(n-1) u^(m-1),
 
-so <a> = alpha + beta.  Centered moments take u = -beta, where the cross
-terms fold into the first and two terms are left,
-
-    <:(a^dag - <a^dag>)^r (a - <a>)^s:> = (1-r-s) (-beta*)^r (-beta)^s + r s (-beta*)^(r-1) (-beta)^(s-1) p,
-
-each bounded for any alpha since |beta|^2 = p (1 - p) <= 1/4.  The brute-force
-counterpart in :mod:`hcslab.fock` recomputes everything numerically and never
-touches these formulas.
+so <a> = alpha + beta.  The witnesses need two real polynomials in p, |alpha|^2,
+R = Re(beta alpha*) and b = 2 Re(beta e^{-i psi}): centering the quadrature at
+u = -beta leaves <:(dX_psi)^k:> = (C/2)^(k/2) [(1-k)(-b)^k + k(k-1) p (-b)^(k-2)],
+and <a^dag^k a^k> = |alpha|^(2k-2) (|alpha|^2 + 2kR + k^2 p) gives the ratio form
+g^(k) = x^(k-1) y, x = |alpha|^2 / M, y = (|alpha|^2 + 2kR + k^2 p) / M, with
+M = |alpha|^2 + 2R + p = <a^dag a>.  As |beta|^2 = p (1 - p), |b| <= 1 and p <= 1
+bound every quadrature term for any alpha; g is finite wherever M > 0 (all but
+the vacuum) and exactly 1 at eps = 1.  Arithmetic operators alone evaluate every
+form, so a provider holds one state or a numpy array of amplitudes (a sweep
+curve).  :mod:`hcslab.fock` recomputes everything without these formulas.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from .witnesses import VacuumStateError
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,32 +95,30 @@ def _check_key(n: int, m: int) -> None:
         )
 
 
-def _inverse_norm_squared(params: HcsParams) -> float:
+def _inverse_norm_squared(eps: float, phi: float, alpha):
     """1/N^2 = 1 + 2 sqrt(eps(1-eps)) Re[alpha e^{-i phi}] + (1-eps)|alpha|^2."""
-    eps = params.epsilon
-    cross = (params.alpha * cmath.exp(-1j * params.phi)).real
-    value = 1.0 + 2.0 * math.sqrt(eps * (1.0 - eps)) * cross + (1.0 - eps) * abs(params.alpha) ** 2
-    if value <= 0.0:
+    cross = (alpha * cmath.exp(-1j * phi)).real
+    value = 1.0 + 2.0 * math.sqrt(eps * (1.0 - eps)) * cross + (1.0 - eps) * abs(alpha) ** 2
+    if np.any(value <= 0.0):
         # mathematically bounded below by 1 - eps > 0; only a rounding corner
         # at eps ~ 1 with destructively interfering alpha could land here
-        raise ValueError(f"state norm underflow for {params}")
+        raise ValueError(f"state norm underflow for eps={eps!r}, phi={phi!r}")
     return value
 
 
 def normalization(params: HcsParams) -> float:
     """Normalization constant N of the superposition, always positive."""
-    return 1.0 / math.sqrt(_inverse_norm_squared(params))
+    return 1.0 / math.sqrt(_inverse_norm_squared(params.epsilon, params.phi, params.alpha))
 
 
-def _qubit(params: HcsParams) -> tuple[complex, float]:
+def _qubit(eps: float, phi: float, alpha) -> tuple:
     """(beta, p) of the module docstring, with c0* c1 and |c1|^2 expanded to skip rounding sqrt(1-eps)^2."""
-    eps = params.epsilon
-    inverse = _inverse_norm_squared(params)
-    beta = math.sqrt(eps * (1.0 - eps)) * cmath.exp(1j * params.phi) + (1.0 - eps) * params.alpha
+    inverse = _inverse_norm_squared(eps, phi, alpha)
+    beta = math.sqrt(eps * (1.0 - eps)) * cmath.exp(1j * phi) + (1.0 - eps) * alpha
     return beta / inverse, (1.0 - eps) / inverse
 
 
-def _raw_moment(alpha: complex, beta: complex, p: float, n: int, m: int) -> complex:
+def _raw_moment(alpha, beta, p, n: int, m: int):
     """<a^dag^n a^m> by the four-term displaced-qubit form of the module docstring.
 
     Each term is a coefficient times alpha*^j alpha^k, and the two cross terms
@@ -136,7 +140,7 @@ def _raw_moment(alpha: complex, beta: complex, p: float, n: int, m: int) -> comp
 
 def moment(params: HcsParams, n: int, m: int) -> complex:
     """<a^dag^n a^m> of the normalized state, from the displaced qubit."""
-    return _raw_moment(params.alpha, *_qubit(params), n, m)
+    return _raw_moment(params.alpha, *_qubit(params.epsilon, params.phi, params.alpha), n, m)
 
 
 def mean_a(params: HcsParams) -> complex:
@@ -150,23 +154,30 @@ def mean_number(params: HcsParams) -> float:
 
 
 class ClosedFormMoments:
-    """Moment provider of :mod:`hcslab.witnesses` over a fixed state: raw and centered
-    moments, both from one (beta, p) computed at construction."""
+    """Moment provider of :mod:`hcslab.witnesses` from the (beta, p) taken at construction.
 
-    def __init__(self, params: HcsParams):
+    ``alpha``, a numpy array of amplitudes, replaces ``params.alpha`` to hold a
+    whole sweep curve at that epsilon and phi; every method then returns arrays.
+    """
+
+    def __init__(self, params: HcsParams, alpha=None):
         self.params = params
-        self._beta, self._p = _qubit(params)
+        self.alpha = params.alpha if alpha is None else alpha
+        self.beta, self.p = _qubit(params.epsilon, params.phi, self.alpha)
 
-    def moment(self, n: int, m: int) -> complex:
-        return _raw_moment(self.params.alpha, self._beta, self._p, n, m)
+    def moment(self, n: int, m: int):
+        return _raw_moment(self.alpha, self.beta, self.p, n, m)
 
-    def centered_moment(self, r: int, s: int) -> complex:
-        """<:(a^dag - <a^dag>)^r (a - <a>)^s:> by the two-term form of the module docstring:
-        the four-term raw form at u = -beta."""
-        if r < 0 or s < 0:
-            raise ValueError(f"centered moment orders must be non-negative, got ({r}, {s})")
-        down, up = -self._beta, -self._beta.conjugate()
-        value = (1 - r - s) * up**r * down**s
-        if r and s:
-            value += r * s * self._p * up ** (r - 1) * down ** (s - 1)
-        return value
+    def quadrature_moment(self, psi: float, k: int):
+        """<:(da^dag e^{i psi} + da e^{-i psi})^k:> = (1-k)(-b)^k + k(k-1) p (-b)^(k-2), b = 2 Re(beta e^{-i psi})."""
+        minus_b = -2.0 * (self.beta * cmath.exp(-1j * psi)).real
+        return (1 - k) * minus_b**k + k * (k - 1) * self.p * minus_b ** max(k - 2, 0)
+
+    def antibunching_ratio(self, k: int):
+        """g^(k) = x^(k-1) y with M = moment(1, 1); at eps = 1, M is the rounded |alpha|^2 itself, so g = 1."""
+        ac = self.alpha.conjugate()
+        alpha_sq, r = (ac * self.alpha).real, (self.beta * ac).real
+        occupation = self.moment(1, 1).real
+        if np.any(occupation <= 0.0):
+            raise VacuumStateError(f"g^({k}) is undefined for the vacuum: <a^dag a> = 0")
+        return (alpha_sq / occupation) ** (k - 1) * ((alpha_sq + 2 * k * r + k * k * self.p) / occupation)

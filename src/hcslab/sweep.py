@@ -1,18 +1,29 @@
-"""Parameter sweeps over the closed-form engine, emitted as CSV figure data."""
+"""Parameter sweeps over the closed-form engine, emitted as CSV figure data.
+
+Each (epsilon, order) curve is one witness call over every |alpha| of the axis
+at once, and only the value and flag columns are formatted per row.
+"""
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .moments import MAX_MOMENT_ORDER, ClosedFormMoments, HcsParams
-from .witnesses import MAX_SQUEEZING_ORDER, QuadratureSpec, VacuumStateError, hm_squeezing, hoa_g
+from .witnesses import MAX_SQUEEZING_ORDER, QuadratureSpec, hm_squeezing, hoa_g
 
 CSV_HEADER = "witness,order,epsilon,phi,psi,alpha_abs,alpha_arg,value,flag"
 
 WITNESSES = ("squeezing", "antibunching")
+
+#: Largest |alpha| a sweep accepts: 144 |alpha|^2 must stay a finite double.
+MAX_ALPHA_ABS = 1e150
 
 
 @dataclass(frozen=True)
@@ -43,9 +54,9 @@ class SweepSpec:
         cap = MAX_SQUEEZING_ORDER if self.witness == "squeezing" else MAX_MOMENT_ORDER // 2 - 1
         if max(self.orders) > cap:
             raise ValueError(f"{self.witness} orders must not exceed {cap}, got {max(self.orders)}")
-        if not 0.0 <= self.alpha_abs_min <= self.alpha_abs_max:
+        if not 0.0 <= self.alpha_abs_min <= self.alpha_abs_max <= MAX_ALPHA_ABS:
             raise ValueError(
-                f"need 0 <= alpha_abs_min <= alpha_abs_max, got "
+                f"need 0 <= alpha_abs_min <= alpha_abs_max <= {MAX_ALPHA_ABS:g}, got "
                 f"[{self.alpha_abs_min!r}, {self.alpha_abs_max!r}]"
             )
         if self.alpha_steps < 2:
@@ -59,53 +70,31 @@ class SweepSpec:
         return [self.alpha_abs_min + span * i / (self.alpha_steps - 1) for i in range(self.alpha_steps)]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, int):
-        return str(x)
-    return format(x, ".17g")
-
-
-def iter_rows(spec: SweepSpec):
-    """Grid rows in deterministic order: epsilon outer, order middle, |alpha| inner.
-
-    Antibunching at the exact vacuum (epsilon = 1, alpha = 0) has no defined
-    ratio; those grid points are skipped with a warning.  Every other point
-    yields exactly one row.
-    """
-    phase = cmath.exp(1j * spec.alpha_arg)
+def _curves(spec: SweepSpec):
+    """(epsilon, order, |alpha| strings, values, flags) per curve, epsilon outer, order inner; antibunching
+    drops the exact vacuum (epsilon = 1, alpha = 0), where g is undefined, with a warning."""
     quad = QuadratureSpec(psi=spec.psi)
-    alphas = spec.alpha_values()
+    alpha_abs = np.array(spec.alpha_values())
+    amplitudes = alpha_abs * cmath.exp(1j * spec.alpha_arg)
+    labels = [f"{a:.17g}" for a in alpha_abs.tolist()]
     for eps in spec.epsilon_list:
-        providers = [ClosedFormMoments(HcsParams(eps, spec.phi, a * phase)) for a in alphas]
+        params = HcsParams(eps, spec.phi, 0.0)
+        provider, kept, vacuum = ClosedFormMoments(params, amplitudes), labels, []
+        if spec.witness == "antibunching":
+            keep = provider.moment(1, 1).real > 0.0  # antibunching_ratio refuses <a^dag a> = 0
+            if not keep.all():
+                kept, vacuum = [a for a, k in zip(labels, keep.tolist()) if k], alpha_abs[~keep].tolist()
+                provider = ClosedFormMoments(params, amplitudes[keep])
         for order in spec.orders:
-            for alpha_abs, provider in zip(alphas, providers):
-                if spec.witness == "squeezing":
-                    result = hm_squeezing(provider, quad, order)
-                    value, flag = result.s_value, int(result.squeezed)
-                else:
-                    try:
-                        result = hoa_g(provider, order)
-                    except VacuumStateError:
-                        print(
-                            f"skipping vacuum point (epsilon={eps}, |alpha|={alpha_abs}): "
-                            "antibunching ratio undefined",
-                            file=sys.stderr,
-                        )
-                        continue
-                    value, flag = result.g_value, int(result.antibunched)
-                yield (
-                    spec.witness,
-                    order,
-                    eps,
-                    spec.phi,
-                    spec.psi,
-                    alpha_abs,
-                    spec.alpha_arg,
-                    value,
-                    flag,
-                )
+            for alpha in vacuum:
+                print(f"skipping vacuum point (epsilon={eps}, |alpha|={alpha}): antibunching ratio undefined",
+                      file=sys.stderr)  # fmt: skip
+            if spec.witness == "squeezing":
+                result = hm_squeezing(provider, quad, order)
+                yield eps, order, kept, result.s_value, result.squeezed
+            else:
+                result = hoa_g(provider, order)
+                yield eps, order, kept, result.g_value, result.antibunched
 
 
 def write_sweeps(specs: list[SweepSpec], out) -> int:
@@ -113,20 +102,34 @@ def write_sweeps(specs: list[SweepSpec], out) -> int:
 
     `out` is a path or an open text file.  Output is UTF-8 with LF endings and
     17-significant-digit floats, so identical invocations are byte-identical.
+    A path is written to a temporary file beside it, renamed over it when
+    complete: a failure part-way leaves no partial file and any earlier one intact.
     """
     if hasattr(out, "write"):
         return _write_to(specs, out)
-    with open(out, "w", encoding="utf-8", newline="\n") as handle:
-        return _write_to(specs, handle)
+    partial = f"{out}.{os.getpid()}.tmp"
+    handle = open(partial, "x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            count = _write_to(specs, handle)
+        os.replace(partial, out)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
+    return count
 
 
 def _write_to(specs, handle) -> int:
     handle.write(CSV_HEADER + "\n")
     count = 0
     for spec in specs:
-        for row in iter_rows(spec):
-            handle.write(",".join(_fmt(x) for x in row) + "\n")
-            count += 1
+        tail = f",{spec.alpha_arg:.17g},"
+        for eps, order, labels, values, flags in _curves(spec):
+            head = f"{spec.witness},{order},{eps:.17g},{spec.phi:.17g},{spec.psi:.17g},"
+            rows = zip(labels, values.tolist(), flags.tolist())
+            handle.write("".join(f"{head}{alpha}{tail}{value:.17g},{flag:d}\n" for alpha, value, flag in rows))
+            count += len(labels)
     return count
 
 

@@ -97,6 +97,39 @@ class TestSweepCommand:
         assert run_cli("figure", "3", "--config", str(config)) == EXIT_USAGE
         assert "key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,line",
+        [(["sweep"], "alpha-mx=2"), (["sweep"], "alpha_max=2"), (["sweep"], "truncation-tol=1e-3"),
+         (["figure", "3"], "truncation-tol=1e-3"), (["herald"], "alpha=1")],
+    )  # fmt: skip
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, command, line):
+        config = tmp_path / "typo.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        assert run_cli(*command, "--config", str(config), "--out", str(out)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"hcslab {command[0]}: unknown config key") and len(err.strip().splitlines()) == 1
+        assert line.partition("=")[0] in err
+        assert not out.exists()
+
+    def test_huge_amplitude_coherent_antibunching_reads_one(self, tmp_path):
+        # the ratio form never raises |alpha| to the 24th power
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "sweep", "--witness", "antibunching", "--epsilon", "1", "--orders", "11",
+            "--alpha-min", "1e15", "--alpha-max", "1e15", "--alpha-steps", "2", "--out", str(out),
+        )  # fmt: skip
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 and all(row[7:] == ["1", "0"] for row in rows)
+
+    @pytest.mark.parametrize("alpha_max", ["inf", "1e200"])
+    def test_alpha_beyond_domain_is_usage_error(self, tmp_path, capsys, alpha_max):
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", "--alpha-max", alpha_max, "--out", str(out)) == EXIT_USAGE
+        assert "alpha_abs_max" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "sweep.cfg"
         config.write_text("witness=squeezing\nalpha-steps=5\nalpha-max=1\nepsilon=0.5\norders=1\n")
@@ -113,6 +146,14 @@ class TestFigureCommand:
         assert run_cli("figure", "3", "--out", str(out)) == EXIT_OK
         assert len(out.read_text().splitlines()) == 1 + 324
         assert "324" in capsys.readouterr().out
+
+    def test_config_sets_output_path(self, tmp_path, capsys):
+        out = tmp_path / "from-config.csv"
+        config = tmp_path / "figure.cfg"
+        config.write_text(f"# output of the preset\nout={out}\n")
+        assert run_cli("figure", "4", "--config", str(config)) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 360
+        capsys.readouterr()
 
 
 class TestValidateCommand:

@@ -15,6 +15,7 @@ from hcslab.moments import (
     normalization,
 )
 from hcslab.validation import WITNESS_TOL
+from hcslab.witnesses import QuadratureSpec, normally_ordered_central_moment
 
 SAMPLE_PARAMS = [
     HcsParams(0.0, 0.0, 1.0),
@@ -172,10 +173,15 @@ class TestClosedFormMoments:
         assert provider.moment(2, 3) == moment(provider.params, 2, 3)
 
 
+def distinct_psis(k):
+    """k + 1 angles, distinct modulo pi: <:(dX_psi)^k:> at them fixes every <:da^dag^(k-l) da^l:>, l <= k."""
+    return [math.pi * j / (k + 1) for j in range(k + 1)]
+
+
 class TestCenteredMoments:
     def test_matches_fock_oracle_on_random_states(self):
-        # the Fock route applies (a - <a>) up to max(r, s) times in double
-        # precision; above r + s = 6 it drifts past WITNESS_TOL at large |alpha|
+        # the Fock route applies (a - <a>) up to k times in double precision;
+        # above k = 6 it drifts past WITNESS_TOL at large |alpha|
         rng = np.random.default_rng(11)
         for _ in range(12):
             params = HcsParams(
@@ -185,35 +191,34 @@ class TestCenteredMoments:
             )
             closed = ClosedFormMoments(params)
             oracle = FockMoments(build_hcs(params, choose_truncation(params.alpha, headroom=8)))
-            for r in range(7):
-                for s in range(7 - r):
-                    assert abs(closed.centered_moment(r, s) - oracle.centered_moment(r, s)) <= WITNESS_TOL, (
-                        params,
-                        r,
-                        s,
-                    )
+            for k in range(1, 7):
+                for psi in distinct_psis(k):
+                    quad = QuadratureSpec(psi)
+                    got = normally_ordered_central_moment(closed, quad, k)
+                    assert abs(got - normally_ordered_central_moment(oracle, quad, k)) <= WITNESS_TOL, (params, k, psi)
 
     @pytest.mark.parametrize("params", SAMPLE_PARAMS)
     def test_low_orders_and_hermiticity(self, params):
         provider = ClosedFormMoments(params)
-        assert provider.centered_moment(0, 0) == 1.0
-        assert provider.centered_moment(1, 0) == 0.0 and provider.centered_moment(0, 1) == 0.0
-        # <:|da|^2:> = <a^dag a> - |<a>|^2
-        assert provider.centered_moment(1, 1).real == pytest.approx(
-            mean_number(params) - abs(mean_a(params)) ** 2, abs=1e-12
-        )
-        for r in range(5):
-            for s in range(5):
-                expected = provider.centered_moment(r, s).conjugate()
-                assert provider.centered_moment(s, r) == pytest.approx(expected, rel=1e-15, abs=1e-300)
+        for psi in (0.0, 0.9, 2.5):
+            assert normally_ordered_central_moment(provider, QuadratureSpec(psi), 1) == 0.0
+            # <:dX_psi^2:> + <:dX_(psi+pi/2)^2:> = 2 <:|da|^2:> = 2 (<a^dag a> - |<a>|^2) at C = 1
+            pair = sum(normally_ordered_central_moment(provider, QuadratureSpec(psi + t), 2) for t in (0.0, math.pi / 2))
+            assert pair == pytest.approx(2 * (mean_number(params) - abs(mean_a(params)) ** 2), abs=1e-12)
+            # Hermitian centered moments make every order real, and odd under psi -> psi + pi for odd k
+            for k in range(1, 7):
+                value = normally_ordered_central_moment(provider, QuadratureSpec(psi), k)
+                turned = normally_ordered_central_moment(provider, QuadratureSpec(psi + math.pi), k)
+                assert isinstance(value, float)
+                assert turned == pytest.approx((-1) ** k * value, rel=1e-12, abs=1e-15)
 
     def test_bounded_at_huge_alpha(self):
-        # |beta|^2 <= 1/4 keeps every term small however large |alpha| is
+        # |b| <= 1 and p <= 1 keep every term small however large |alpha| is
         provider = ClosedFormMoments(HcsParams(0.5, 0.3, 1e6))
-        for r in range(7):
-            for s in range(max(0, 2 - r), 7 - r):
-                assert abs(provider.centered_moment(r, s)) < 1e-5
+        for k in range(2, 7):
+            for psi in distinct_psis(k):
+                assert abs(normally_ordered_central_moment(provider, QuadratureSpec(psi), k)) < 1e-5
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            ClosedFormMoments(HcsParams(0.5, 0.0, 1.0)).centered_moment(-1, 2)
+            normally_ordered_central_moment(ClosedFormMoments(HcsParams(0.5, 0.0, 1.0)), QuadratureSpec(), -1)

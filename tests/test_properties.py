@@ -2,8 +2,8 @@
 
 import cmath
 import math
-import sys
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,13 +11,20 @@ from hcslab.fock import FockMoments, build_coherent, build_hcs, choose_truncatio
 from hcslab.heralding import HeraldingParams, simulate_herald
 from hcslab.moments import MAX_MOMENT_ORDER, ClosedFormMoments, HcsParams, moment
 from hcslab.validation import MOMENT_TOTAL_ORDER, WITNESS_TOL
-from hcslab.witnesses import MAX_SQUEEZING_ORDER, QuadratureSpec, VacuumStateError, hm_squeezing, hoa_g
+from hcslab.witnesses import (
+    MAX_SQUEEZING_ORDER,
+    QuadratureSpec,
+    VacuumStateError,
+    hm_squeezing,
+    hoa_g,
+    normally_ordered_central_moment,
+)
 
 #: Largest |alpha| at which the closed forms are pinned against a 60-digit reference.
 ALPHA_DOMAIN = 12.0
 #: Largest |alpha| at which the Fock oracle is compared with the closed forms.
 ORACLE_ALPHA = 8.0
-#: Largest r + s compared; above it the Fock centered route drifts past WITNESS_TOL at large |alpha|.
+#: Largest centered order k compared; above it the Fock centered route drifts past WITNESS_TOL at large |alpha|.
 CENTERED_ORDER = 6
 #: Largest antibunching order a sweep accepts: g^(n+1) needs moment(n+1, n+1).
 MAX_ANTIBUNCHING_ORDER = MAX_MOMENT_ORDER // 2 - 1
@@ -60,12 +67,12 @@ def test_coherent_limit(alpha, phi, psi):
     for order in range(1, MAX_SQUEEZING_ORDER + 1):
         assert hm_squeezing(provider, QuadratureSpec(psi), order).s_value == 0.0
     for order in range(1, MAX_ANTIBUNCHING_ORDER + 1):
-        try:
-            g = hoa_g(provider, order)
-        except VacuumStateError:  # <a^dag a>^(order+1) is below the normal double range
-            assert abs(alpha) ** (2 * order + 2) < sys.float_info.min
+        if moment(params, 1, 1).real == 0.0:  # the vacuum, or a |alpha|^2 below the double range
+            with pytest.raises(VacuumStateError):
+                hoa_g(provider, order)
             continue
-        assert abs(g.g_value - 1.0) <= 1e-12, order
+        g = hoa_g(provider, order)
+        assert g.g_value == 1.0 and not g.antibunched, order
 
 
 @given(states())
@@ -105,5 +112,19 @@ def test_closed_form_matches_oracle(params):
     for n, m in raw_orders(MOMENT_TOTAL_ORDER):
         reference = oracle.moment(n, m)
         assert abs(closed.moment(n, m) - reference) <= 1e-10 * max(1.0, abs(reference)), (n, m)
-    for r, s in raw_orders(CENTERED_ORDER):
-        assert abs(closed.centered_moment(r, s) - oracle.centered_moment(r, s)) <= WITNESS_TOL, (r, s)
+    # k + 1 angles distinct modulo pi pin every centered moment <:da^dag^(k-l) da^l:> of order k
+    for k in range(1, CENTERED_ORDER + 1):
+        for quad in (QuadratureSpec(math.pi * j / (k + 1)) for j in range(k + 1)):
+            closed_value = normally_ordered_central_moment(closed, quad, k)
+            assert abs(closed_value - normally_ordered_central_moment(oracle, quad, k)) <= WITNESS_TOL, (k, quad)
+
+
+@given(states(), angles)
+def test_squeezing_depends_on_psi_through_b_squared(params, psi):
+    # S is even in b = 2 Re(beta e^{-i psi}), which psi + pi negates and 2 arg(beta) - psi keeps
+    provider = ClosedFormMoments(params)
+    mirrored = 2.0 * cmath.phase(provider.beta) - psi
+    for order in range(1, MAX_SQUEEZING_ORDER + 1):
+        s_value = hm_squeezing(provider, QuadratureSpec(psi), order).s_value
+        for other in (psi + math.pi, mirrored):
+            assert abs(hm_squeezing(provider, QuadratureSpec(other), order).s_value - s_value) <= 1e-12, (order, other)

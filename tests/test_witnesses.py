@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from hcslab import fock
 from hcslab.fock import FockMoments, build_hcs, choose_truncation, quadrature_central_moment
 from hcslab.moments import ClosedFormMoments, HcsParams
 from hcslab.witnesses import (
@@ -38,16 +39,6 @@ def direct_expansion_nocm(provider, quad, k):
         )
         total += comb(k, p) * (-1) ** p * operator_part * mean_part
     return (total * (quad.commutator_c / 2.0) ** (k / 2.0)).real
-
-
-class BrokenProvider:
-    """Deliberately non-Hermitian moments, to exercise the residue guard."""
-
-    def moment(self, n, m):
-        return 1.0 + 0.5j
-
-    def centered_moment(self, r, s):
-        return 1.0 + 0.5j
 
 
 class TestDoubleFactorial:
@@ -98,9 +89,11 @@ class TestNormallyOrderedCentralMoment:
             with pytest.raises(ValueError):
                 normally_ordered_central_moment(provider, Q0, k)
 
-    def test_imaginary_residue_guard(self):
+    def test_imaginary_residue_guard(self, monkeypatch):
+        # deliberately non-Hermitian ladder moments trip the Fock route's guard
+        monkeypatch.setattr(fock, "_ladder_moment", lambda *args: 1.0 + 0.5j)
         with pytest.raises(ValueError, match="residue"):
-            normally_ordered_central_moment(BrokenProvider(), Q0, 3)
+            normally_ordered_central_moment(FockMoments(build_hcs(HcsParams(0.5, 0.0, 1.0), 32)), Q0, 3)
 
 
 class TestHmSqueezing:
@@ -206,10 +199,14 @@ class TestHoaG:
             hoa_g(ClosedFormMoments(HcsParams(1.0, 0.0, 0.0)), 1)
 
     def test_underflowing_denominator_signalled_as_vacuum(self):
-        # <a^dag a>^12 = 1e-336 underflows; the ratio used to divide by zero
+        # on the Fock route <a^dag a>^12 = 1e-336 underflows, and the ratio used
+        # to divide by zero; the closed ratio form x^11 y never forms that power
+        params = HcsParams(1.0, 0.0, 1e-14)
         with pytest.raises(VacuumStateError):
-            hoa_g(ClosedFormMoments(HcsParams(1.0, 0.0, 1e-14)), 11)
-        assert hoa_g(ClosedFormMoments(HcsParams(1.0, 0.0, 1e-12)), 11).g_value == pytest.approx(1.0, abs=1e-12)
+            hoa_g(FockMoments(build_hcs(params, 16)), 11)
+        result = hoa_g(ClosedFormMoments(params), 11)
+        assert result.g_value == 1.0 and not result.antibunched
+        assert hoa_g(ClosedFormMoments(HcsParams(1.0, 0.0, 1e-12)), 11).g_value == 1.0
 
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
