@@ -8,12 +8,13 @@ command line > config file (key=value lines) > built-in defaults.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 
 from . import validation
-from .fock import TruncationPolicy, build_hcs, fidelity
+from .fock import TruncationError, TruncationPolicy, build_hcs, fidelity
 from .heralding import KERR_MODES, DegenerateBranchError, HeraldingParams, simulate_herald
 from .sweep import SweepSpec, figure_sweeps, write_sweeps
 
@@ -209,6 +210,11 @@ def _cmd_herald(opt: _Options) -> int:
             )
             for mode in KERR_MODES
         }
+        chosen = runs[kerr_mode]
+        model = build_hcs(chosen.mapped, chosen.state_a.dim, tail_tol)
+    except TruncationError as exc:
+        print(f"hcslab herald: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except DegenerateBranchError as exc:
         print(f"hcslab herald: degenerate settings: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -216,9 +222,7 @@ def _cmd_herald(opt: _Options) -> int:
         print(f"hcslab herald: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    chosen = runs[kerr_mode]
     mapped = chosen.mapped
-    model = build_hcs(mapped, chosen.state_a.dim, tail_tol)
     fid_model = fidelity(runs["linearized"].state_a, model)
     fid_modes = fidelity(runs["exact"].state_a, runs["linearized"].state_a)
 
@@ -253,7 +257,15 @@ def _cmd_herald(opt: _Options) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # argparse leaves each parser as ~300 objects of cyclic garbage; a collection while it is alive would move it
+    # toward the oldest generation, so a process calling main repeatedly would run full collections far more often
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        args = _build_parser().parse_args(argv)
+    finally:
+        if enabled:
+            gc.enable()
     try:
         opt = _Options(args)
     except (OSError, UnicodeDecodeError) as exc:

@@ -5,6 +5,8 @@ computed numerically — moments by ladder application, quadrature powers by
 repeated matrix-free application of X - <X> to the state — so the results are
 exact up to truncation and rounding and serve as ground truth for the closed
 forms in :mod:`hcslab.moments`.  Nothing here evaluates a closed-form moment.
+It needs numpy alone.  No basis exceeds MAX_DIM levels: a larger amplitude or
+dimension raises ValueError before anything is allocated.
 
 Moments pair entries of a ladder stack [(a - shift)^k psi for k <= K] in one
 vdot, <(a - shift)^r psi | (a - shift)^s psi> = <(a^dag - shift*)^r (a - shift)^s>:
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .moments import HcsParams
 from .witnesses import QuadratureSpec, VacuumStateError
@@ -38,6 +39,14 @@ NORMALIZATION_TOL = 1e-6
 
 #: Smallest basis dimension :func:`choose_truncation` returns.
 MIN_DIM = 16
+
+#: Largest basis dimension any state is built in; choose_truncation reaches it near |alpha| = 57.
+MAX_DIM = 4096
+
+#: ln n! for n < MAX_DIM, each entry the exact sum of the rounded ln k, rounded once (math.lgamma is off by
+#: up to 3 ulps, a plain cumsum by 16): whole steps of 2^-30 sum exactly, and the remainders lose ~1e-18.
+_STEPS, _REMAINDERS = np.divmod(np.log(np.arange(1.0, MAX_DIM)), 2.0**-30)
+_LOG_FACTORIAL = np.append(0.0, np.cumsum(_STEPS) * 2.0**-30 + np.cumsum(_REMAINDERS))
 
 
 class TruncationError(RuntimeError):
@@ -86,11 +95,18 @@ class FockVector:
 
 
 def _poisson_tail(mean: float, k: int) -> float:
-    """P(N > k) for N ~ Poisson(mean)."""
+    """P(N > k) for N ~ Poisson(mean): the pmf summed from k + 1 upward or, below the mean, where those terms
+    grow from values that can underflow, one minus the sum from k downward; each stops at a term < 1e-17 of it."""
     if mean == 0.0:
         return 0.0
-    # Poisson survival function through the regularized lower incomplete gamma
-    return float(gammainc(k + 1, mean))
+    below = k + 1 < mean
+    j, step = (k, -1) if below else (k + 1, 1)
+    term, total = math.exp(j * math.log(mean) - mean - math.lgamma(j + 1)), 0.0
+    while term > 1e-17 * total:
+        total += term
+        term *= j / mean if below else mean / (j + 1)
+        j += step
+    return 1.0 - total if below else total
 
 
 def choose_truncation(alpha, policy: TruncationPolicy | None = None, headroom: int = 0) -> int:
@@ -99,26 +115,32 @@ def choose_truncation(alpha, policy: TruncationPolicy | None = None, headroom: i
     Starts from the larger of MIN_DIM and |alpha|^2 + 10 sqrt(|alpha|^2 + 1) plus
     caller headroom (largest ladder power used + 2 protects powered-quadrature
     spreading) and grows until the Poisson tail beyond dim - 2 is below the policy tolerance.
-    Monotone nondecreasing in |alpha|.
+    Monotone nondecreasing in |alpha|.  Raises ValueError where that would exceed MAX_DIM, for
+    |alpha| >= sqrt(MAX_DIM) (also inf and nan) without squaring it: 1e200 ** 2 overflows.
     """
     if policy is None:
         policy = TruncationPolicy()
     if headroom < 0:
         raise ValueError("headroom must be non-negative")
-    mu = abs(complex(alpha)) ** 2
+    alpha_abs = abs(complex(alpha))
+    mu = alpha_abs**2 if alpha_abs < math.sqrt(MAX_DIM) else float(MAX_DIM)
     dim = max(MIN_DIM, math.ceil(mu + 10.0 * math.sqrt(mu + 1.0)) + headroom)
-    while _poisson_tail(mu, dim - 2) >= policy.tail_tol:
+    while dim <= MAX_DIM and _poisson_tail(mu, dim - 2) >= policy.tail_tol:
         dim += 1
+    if dim > MAX_DIM:
+        raise ValueError(f"|alpha| = {alpha_abs:g} needs a basis above MAX_DIM = {MAX_DIM} levels")
     return dim
 
 
 def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     """Amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) of |alpha>, built in log space:
     alpha^n, n! and e^{|alpha|^2/2} overflow doubles long before the amplitudes do."""
+    if dim > MAX_DIM:
+        raise ValueError(f"basis dimension {dim} exceeds MAX_DIM = {MAX_DIM}")
     if alpha == 0:
         return np.eye(1, dim, dtype=np.complex128)[0]
     n = np.arange(dim)
-    return np.exp(n * cmath.log(alpha) - 0.5 * (gammaln(n + 1) + abs(alpha) ** 2))
+    return np.exp(n * cmath.log(alpha) - 0.5 * (_LOG_FACTORIAL[:dim] + abs(alpha) ** 2))
 
 
 def _normalized_or_flag(raw: np.ndarray, tail_tol: float, what: str) -> FockVector:

@@ -132,8 +132,8 @@ def simulate_herald(hp: HeraldingParams, policy: TruncationPolicy | None = None)
     """
     if policy is None:
         policy = TruncationPolicy()
+    dim = choose_truncation(hp.alpha, policy, headroom=3)  # first: rejects the |alpha| that overflow map_to_hcs
     mapped = map_to_hcs(hp)  # raises on the degenerate branch case
-    dim = choose_truncation(hp.alpha, policy, headroom=3)
     d1 = _d1_rail(hp, dim)
     weight = float(np.sum(np.abs(d1) ** 2))
     if weight <= 0.0:

@@ -1,13 +1,54 @@
+import contextlib
+import gc
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hcslab
+from hcslab import fock, heralding
 from hcslab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from hcslab.sweep import CSV_HEADER
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+@pytest.fixture
+def no_basis(monkeypatch):
+    """Fail the test if any Fock basis gets allocated."""
+
+    def refuse(alpha, dim):
+        raise AssertionError(f"allocated a basis of {dim} levels")
+
+    monkeypatch.setattr(fock, "_coherent_amplitudes", refuse)
+    monkeypatch.setattr(heralding, "_coherent_amplitudes", refuse)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv", [["sweep", "--alpha-steps", "2"], ["sweep", "--bogus"]])
+def test_main_restores_the_collector_state(capsys, enabled, argv):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.suppress(SystemExit):
+            run_cli(*argv)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy():
+    # every CLI call pays for what the import loads; scipy.special once took most of it
+    src = str(Path(hcslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import hcslab.cli, sys; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestSweepCommand:
@@ -186,6 +227,22 @@ class TestValidateCommand:
         assert code == EXIT_OK
         assert "overall: PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("alpha_abs", ["1e4", "1e200"])
+    def test_basis_beyond_max_dim_is_usage_error(self, capsys, no_basis, alpha_abs):
+        code = run_cli("validate", "--epsilon", "0.5", "--phi", "0", "--alpha-arg", "0", "--alpha-abs", alpha_abs)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("hcslab validate: ") and "MAX_DIM" in err and len(err.strip().splitlines()) == 1
+
+    def test_forced_dimension_beyond_max_dim_is_usage_error(self, capsys):
+        code = run_cli(
+            "validate", "--epsilon", "0.5", "--phi", "0", "--alpha-abs", "1", "--alpha-arg", "0",
+            "--force-dim", str(fock.MAX_DIM + 1),
+        )  # fmt: skip
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("hcslab validate: ") and "MAX_DIM" in err and len(err.strip().splitlines()) == 1
+
 
 class TestHeraldCommand:
     def test_balanced_run_reports_mapping_and_fidelities(self, capsys):
@@ -222,6 +279,19 @@ class TestHeraldCommand:
     def test_large_amplitude_runs(self, capsys):
         assert run_cli("herald", "--alpha-abs", "40") == EXIT_OK
         assert "fidelity linearized vs closed-form state" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("alpha_abs", ["1e4", "1e200"])
+    def test_basis_beyond_max_dim_is_usage_error(self, capsys, no_basis, alpha_abs):
+        # 1e4 would need about 1e8 levels; 1e200 used to overflow in map_to_hcs before any sizing
+        assert run_cli("herald", "--alpha-abs", alpha_abs) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("hcslab herald: ") and "MAX_DIM" in err and len(err.strip().splitlines()) == 1
+
+    def test_inadequate_truncation_exits_three(self, capsys):
+        assert run_cli("herald", "--alpha-abs", "3", "--truncation-tol", "1e-18") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("hcslab herald: ") and "truncation inadequate" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_csv_append(self, tmp_path, capsys):
         out = tmp_path / "herald.csv"

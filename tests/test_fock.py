@@ -1,14 +1,20 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from hcslab.fock import (
+    MAX_DIM,
+    MIN_DIM,
     FockMoments,
     FockVector,
     TruncationError,
     TruncationPolicy,
+    _coherent_amplitudes,
     _hcs_raw,
+    _poisson_tail,
     build_coherent,
     build_hcs,
     choose_truncation,
@@ -21,12 +27,29 @@ from hcslab.witnesses import QuadratureSpec
 
 
 def _poisson_tail_reference(mean, k):
-    # plain cumulative sum, independent of the gamma-function route
+    # one minus the lower pmf sum from zero: a double-precision cross-check for small means;
+    # the mpmath tail below is the precision reference
     term, cdf = math.exp(-mean), math.exp(-mean)
     for j in range(1, k + 1):
         term *= mean / j
         cdf += term
     return 1.0 - cdf
+
+
+def _mp_poisson_tail(mean, k):
+    """P(N > k) for N ~ Poisson(mean) at 40 digits: the regularized lower incomplete gamma P(k + 1, mean)."""
+    with mpmath.workdps(40):
+        return mpmath.gammainc(k + 1, 0, mean, regularized=True)
+
+
+class TestPoissonTail:
+    @pytest.mark.parametrize("mean", [0.25, 1.0, 4.0, 30.0, 144.0, 900.0])
+    def test_matches_high_precision_on_both_sides_of_the_mean(self, mean):
+        # at mean 900 a sum upward from k + 1 = 6 would start from an underflowed term; the tail there is 1
+        spread = math.sqrt(mean + 1.0)
+        for k in {0, 5, int(mean / 2), int(mean), int(mean) + 1, int(mean + 3 * spread), int(mean + 10 * spread) + 14}:
+            reference = float(_mp_poisson_tail(mean, k))
+            assert _poisson_tail(mean, k) == pytest.approx(reference, rel=1e-11, abs=0.0), k
 
 
 class TestChooseTruncation:
@@ -49,6 +72,30 @@ class TestChooseTruncation:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             TruncationPolicy(tail_tol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 3.0, 12.0, 30.0])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-25])
+    @pytest.mark.parametrize("headroom", [0, 14])
+    def test_smallest_dim_from_the_start_guess_with_tail_below_tolerance(self, alpha, tol, headroom):
+        mu = alpha**2
+        start = max(MIN_DIM, math.ceil(mu + 10.0 * math.sqrt(mu + 1.0)) + headroom)
+        dim = choose_truncation(alpha, TruncationPolicy(tol), headroom)
+        # a tail within 1e-9 relative of the tolerance may fall on either side of it in double precision
+        assert dim >= start
+        assert _mp_poisson_tail(mu, dim - 2) < tol * (1.0 + 1e-9)
+        if dim > start:
+            assert _mp_poisson_tail(mu, dim - 3) >= tol * (1.0 - 1e-9)
+
+    def test_covers_the_largest_documented_bases(self):
+        # validate --alpha-abs 30 --truncation-tol 1e-25 sizes with headroom 14
+        assert choose_truncation(30.0, TruncationPolicy(1e-25), headroom=14) <= MAX_DIM
+        assert choose_truncation(40.0) <= MAX_DIM
+
+    @pytest.mark.parametrize("alpha", [60.0, 64.0, 1e4, 1e200, float("inf"), float("nan")])
+    def test_rejects_amplitudes_beyond_max_dim(self, alpha):
+        # 1e200 ** 2 overflows a double: the bound must act before |alpha| is squared
+        with pytest.raises(ValueError, match="MAX_DIM"):
+            choose_truncation(alpha)
 
 
 class TestBuildCoherent:
@@ -78,6 +125,23 @@ class TestBuildCoherent:
         assert np.all(np.isfinite(state.amps))
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
         assert numeric_moment(state, 1, 1) == pytest.approx(1600.0, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [12.0 * cmath.exp(0.7j), 40.0, 40.0 * cmath.exp(-2.0j)])
+    def test_amplitudes_match_high_precision(self, alpha):
+        dim = choose_truncation(alpha)
+        with mpmath.workdps(40):
+            a = mpmath.mpc(complex(alpha).real, complex(alpha).imag)
+            amp, reference = mpmath.exp(-abs(a) ** 2 / 2), []
+            for n in range(dim):
+                reference.append(complex(amp))
+                amp *= a / mpmath.sqrt(n + 1)
+        assert np.max(np.abs(_coherent_amplitudes(complex(alpha), dim) - np.array(reference))) <= 1e-13
+
+    @pytest.mark.parametrize("build", [build_coherent, lambda alpha, dim: build_hcs(HcsParams(0.5, 0.0, alpha), dim)])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_rejects_dim_beyond_max_dim(self, build, alpha):
+        with pytest.raises(ValueError, match="MAX_DIM"):
+            build(alpha, MAX_DIM + 1)
 
 
 class TestBuildHcs:
