@@ -1,18 +1,19 @@
 """Brute-force truncated-Fock oracle.
 
 States are plain amplitude vectors over |0> .. |dim-1>.  All quantities are
-computed numerically — moments by ladder application, quadrature powers by
-repeated matrix-free application of X - <X> to the state — so the results are
-exact up to truncation and rounding and serve as ground truth for the closed
-forms in :mod:`hcslab.moments`.  Nothing here evaluates a closed-form moment.
+computed numerically — moments from Gram products of ladder stacks, quadrature
+powers by repeated matrix-free application of X - <X> to the state — so the
+results are exact up to truncation and rounding and serve as ground truth for the
+closed forms in :mod:`hcslab.moments`.  Nothing here evaluates a closed-form moment.
 It needs numpy alone.  No basis exceeds MAX_DIM levels: a larger amplitude or
 dimension raises ValueError before anything is allocated.
 
-Moments pair entries of a ladder stack [(a - shift)^k psi for k <= K] in one
-vdot, <(a - shift)^r psi | (a - shift)^s psi> = <(a^dag - shift*)^r (a - shift)^s>:
+A ladder stack [(a - shift)^k psi for k <= K] pairs with itself in one Gram product,
+G[r, s] = <(a - shift)^r psi | (a - shift)^s psi> = <(a^dag - shift*)^r (a - shift)^s>:
 shift 0 gives the raw moments, shift <a> (the vector's own numeric mean) the
-normally ordered centered moments.  The witnesses' two real quantities are sums
-and ratios of these: see :class:`FockMoments`.
+normally ordered centered moments.  :class:`FockMoments` takes both for a batch of
+states of one dimension at once; the witnesses' two real quantities are sums and
+ratios of their entries.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .moments import HcsParams
-from .witnesses import QuadratureSpec, VacuumStateError
+from .witnesses import MAX_CENTRAL_ORDER, QuadratureSpec, VacuumStateError
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -53,11 +54,12 @@ class TruncationError(RuntimeError):
     """The truncated basis is too small for the requested construction."""
 
 
-def _real_part(value: complex, what: str) -> float:
-    """The real part of a provably real quantity; an imaginary residue above 1e-10 means a bug, not data."""
-    if abs(value.imag) > 1e-10:
-        raise ValueError(f"{what} should be real, got imaginary residue {value.imag:.3e}")
-    return value.real
+def _real_part(value, what: str):
+    """The real part of a provably real quantity (or array); an imaginary residue above 1e-10 means a bug."""
+    residue = np.abs(value.imag).max(initial=0.0)
+    if residue > 1e-10:
+        raise ValueError(f"{what} should be real, got imaginary residue {residue:.3e}")
+    return np.real(value)
 
 
 @dataclass(frozen=True)
@@ -175,57 +177,59 @@ def build_hcs(params: HcsParams, dim: int, tail_tol: float = DEFAULT_TAIL_TOL) -
     return _normalized_or_flag(_hcs_raw(params, dim), tail_tol, f"hcs {params}")
 
 
-def _ladder_moment(state: FockVector, stack: list[np.ndarray], shift: complex, n: int, m: int) -> complex:
-    """<(a - shift)^n psi | (a - shift)^m psi>, extending ``stack`` = [psi, (a - shift) psi, ...] as needed;
-    entries keep the full dimension, each lowering zero-filling the top slot."""
-    if n < 0 or m < 0:
-        raise ValueError(f"moment orders must be non-negative, got ({n}, {m})")
-    top = max(n, m)
-    if top >= state.dim:
-        raise ValueError(f"ladder power {top} exhausts the truncated basis (dim {state.dim})")
-    while len(stack) <= top:
-        v = stack[-1]
-        stack.append(np.append(np.sqrt(np.arange(1.0, v.size)) * v[1:], 0.0) - shift * v)
-    return complex(np.vdot(stack[n], stack[m]))
+def _ladder_gram(amps: np.ndarray, powers: int, shift=None) -> np.ndarray:
+    """G[..., n, m] = <(a - shift)^n psi | (a - shift)^m psi>, n, m < powers, for an (..., dim) batch with one
+    shift per state (None: unshifted); each lowering of the stack zero-fills the top slot."""
+    roots = np.sqrt(np.arange(1.0, amps.shape[-1]))
+    stack = np.zeros((powers,) + amps.shape, dtype=np.complex128)
+    stack[0] = amps
+    for k in range(1, powers):
+        stack[k, ..., :-1] = roots * stack[k - 1, ..., 1:]
+        if shift is not None:
+            stack[k] -= shift[..., None] * stack[k - 1]
+    return np.moveaxis(_vdot(stack[:, None], stack[None, :]), (0, 1), (-2, -1))
+
+
+def _vdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x|y> over the last axis of two batches, summed as np.vdot sums one pair."""
+    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def numeric_moment(state: FockVector, n: int, m: int) -> complex:
     """<a^dag^n a^m> = <a^n psi | a^m psi>, exact for the stored vector."""
-    return _ladder_moment(state, [state.amps], 0.0, n, m)
+    return FockMoments(state).moment(n, m)
 
 
-def _apply_quadrature(v: np.ndarray, scale: float, phase: complex) -> np.ndarray:
-    """One application of X = scale * (a^dag e^{i psi} + a e^{-i psi})."""
-    out = np.zeros_like(v)
-    roots = np.sqrt(np.arange(1.0, v.size))
-    out[:-1] = phase.conjugate() * (roots * v[1:])
-    out[1:] += phase * (roots * v[:-1])
-    return scale * out
-
-
-def quadrature_central_moment(state: FockVector, quad: QuadratureSpec, order: int) -> float:
+def quadrature_central_moment(state, quad: QuadratureSpec, order):
     """<(dX_psi)^order> by repeated application of X - <X> to the state.
 
-    Every application spreads support up by one level, so the top `order`
-    slots of the state must be essentially empty for the result to be trusted.
+    ``state`` is a FockVector or an (S, dim) stack of amplitude vectors; ``order`` is one even order, or a
+    sequence of them read off one chain of applications up to the largest: one value per state, stacked per
+    order for a sequence.  Every application spreads support up by one level, so the top `order` slots of
+    each state must be essentially empty for the result to be trusted.
     """
-    if order not in (2, 4, 6, 8, 10):
+    orders = (order,) if np.ndim(order) == 0 else tuple(order)
+    if any(k not in (2, 4, 6, 8, 10) for k in orders):
         raise ValueError(f"order must be one of 2, 4, 6, 8, 10, got {order}")
-    edge = state.amps[max(0, state.dim - order) :]
-    edge_mass = float(np.sum(np.abs(edge) ** 2))
+    amps = state.amps if isinstance(state, FockVector) else np.asarray(state, dtype=np.complex128)
+    top = max(orders)
+    edge_mass = np.max(np.sum(np.abs(amps[..., max(0, amps.shape[-1] - top) :]) ** 2, axis=-1))
     if edge_mass >= QUADRATURE_EDGE_TOL:
-        raise TruncationError(
-            f"quadrature power {order}: probability mass {edge_mass:.3e} in the top "
-            f"{order} levels would spread past the truncation"
-        )
+        raise TruncationError(f"quadrature power {top}: probability mass {edge_mass:.3e} in the top {top} levels "
+                              "would spread past the truncation")  # fmt: skip
     scale = math.sqrt(quad.commutator_c / 2.0)
     phase = cmath.exp(1j * quad.psi)
-    mean_a_num = numeric_moment(state, 0, 1)
-    x_mean = 2.0 * scale * (mean_a_num * phase.conjugate()).real
-    v = state.amps
-    for _ in range(order):
-        v = _apply_quadrature(v, scale, phase) - x_mean * v
-    return _real_part(complex(np.vdot(state.amps, v)), f"<(dX)^{order}>")
+    roots = np.sqrt(np.arange(1.0, amps.shape[-1]))
+    x_mean = (2.0 * scale * (_vdot(amps[..., :-1], roots * amps[..., 1:]) * phase.conjugate()).real)[..., None]
+    v, values = amps, {}
+    for k in range(1, top + 1):  # v <- (X - <X>) v, X = scale * (a^dag e^{i psi} + a e^{-i psi})
+        xv = np.zeros_like(v)
+        xv[..., :-1] = phase.conjugate() * (roots * v[..., 1:])
+        xv[..., 1:] += phase * (roots * v[..., :-1])
+        v = scale * xv - x_mean * v
+        if k in orders:
+            values[k] = _real_part(_vdot(amps, v), f"<(dX)^{k}>")
+    return values[order] if np.ndim(order) == 0 else np.array([values[k] for k in orders])
 
 
 def fidelity(u: FockVector, v: FockVector) -> float:
@@ -239,29 +243,40 @@ def fidelity(u: FockVector, v: FockVector) -> float:
 
 
 class FockMoments:
-    """Moment provider over one stored vector: every quantity pairs entries of its two ladder stacks."""
+    """Moment provider over a FockVector (scalar quantities) or an (S, dim) batch of one dimension (arrays
+    of S), reading the Gram products of the stacks [a^k psi] and [(a - <a>)^k psi], k <= MAX_CENTRAL_ORDER."""
 
-    def __init__(self, state: FockVector):
-        self.state = state
-        self._lowered, self._centered = [state.amps], [state.amps]
+    def __init__(self, states):
+        self.amps = states.amps if isinstance(states, FockVector) else np.asarray(states, dtype=np.complex128)
 
     @cached_property
-    def _mean(self) -> complex:
-        """The numeric <a>, the shift of the centered stack; taken on first use, so building never raises."""
-        return _ladder_moment(self.state, self._lowered, 0.0, 0, 1)
+    def _raw(self) -> np.ndarray:
+        """<a^dag^n a^m> at [..., n, m]."""
+        return _ladder_gram(self.amps, MAX_CENTRAL_ORDER + 1)
 
-    def moment(self, n: int, m: int) -> complex:
-        return _ladder_moment(self.state, self._lowered, 0.0, n, m)
+    @cached_property
+    def _centered(self) -> np.ndarray:
+        """<:da^dag^n da^m:> at [..., n, m], da = a - <a> (numeric); taken on first use, so building never raises."""
+        return _ladder_gram(self.amps, MAX_CENTRAL_ORDER + 1, shift=self._raw[..., 0, 1])
 
-    def quadrature_moment(self, psi: float, k: int) -> float:
+    def moment(self, n: int, m: int):
+        if n < 0 or m < 0:
+            raise ValueError(f"moment orders must be non-negative, got ({n}, {m})")
+        top = max(n, m)
+        if top >= self.amps.shape[-1]:
+            raise ValueError(f"ladder power {top} exhausts the truncated basis (dim {self.amps.shape[-1]})")
+        return (self._raw if top <= MAX_CENTRAL_ORDER else _ladder_gram(self.amps, top + 1))[..., n, m]
+
+    def quadrature_moment(self, psi: float, k: int):
         """<:(da^dag e^{i psi} + da e^{-i psi})^k:> = sum_l C(k, l) e^{i(k-2l) psi} <:da^dag^(k-l) da^l:>."""
-        centered = [_ladder_moment(self.state, self._centered, self._mean, k - l, l) for l in range(k + 1)]
-        total = sum(math.comb(k, l) * cmath.exp(1j * (k - 2 * l) * psi) * c for l, c in enumerate(centered))
-        return _real_part(total, f"<:(dX)^{k}:>")
+        weights = np.array([math.comb(k, l) * cmath.exp(1j * (k - 2 * l) * psi) for l in range(k + 1)])
+        # contiguous, so that each state's sum runs as a batch of one runs it
+        terms = np.ascontiguousarray(self._centered[..., range(k, -1, -1), range(k + 1)])
+        return _real_part(_vdot(weights.conj(), terms), f"<:(dX)^{k}:>")
 
-    def antibunching_ratio(self, k: int) -> float:
-        """g^(k) = <a^dag^k a^k> / <a^dag a>^k; VacuumStateError where the denominator vanishes or underflows."""
+    def antibunching_ratio(self, k: int):
+        """g^(k) = <a^dag^k a^k> / <a^dag a>^k; VacuumStateError where a denominator vanishes or underflows."""
         denominator = self.moment(1, 1).real ** k
-        if denominator < sys.float_info.min:  # also a coherent state within ~1e-13 of the vacuum at k = 12
+        if np.any(denominator < sys.float_info.min):  # also a coherent state within ~1e-13 of the vacuum at k = 12
             raise VacuumStateError(f"g^({k}) is undefined in double precision: <a^dag a>^{k} underflows")
         return self.moment(k, k).real / denominator

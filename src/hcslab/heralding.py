@@ -32,6 +32,9 @@ KERR_MODES = ("linearized", "exact")
 
 BS_UNITARITY_TOL = 1e-12
 
+#: Largest phi_xpm: the exact Kerr factor e^{-i phi_xpm n} repeats with period 2 pi (the linearized one needs << 1).
+MAX_PHI_XPM = 2.0 * math.pi
+
 
 class DegenerateBranchError(ValueError):
     """Both superposition branches vanish: no amplitude ever reaches D1."""
@@ -43,7 +46,7 @@ class HeraldingParams:
 
     `linearized` replaces the Kerr unitary by 1 - i phi_xpm n_a n_b, the weak
     cross-phase-modulation limit valid for phi_xpm << 1; `exact` applies
-    e^{-i phi_xpm n_a n_b} itself.
+    e^{-i phi_xpm n_a n_b} itself.  phi_xpm lies in [0, MAX_PHI_XPM].
     """
 
     t_bs2: float
@@ -64,8 +67,8 @@ class HeraldingParams:
             )
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
-        if not (math.isfinite(self.phi_xpm) and self.phi_xpm >= 0.0):
-            raise ValueError(f"phi_xpm must be non-negative, got {self.phi_xpm!r}")
+        if not 0.0 <= self.phi_xpm <= MAX_PHI_XPM:
+            raise ValueError(f"phi_xpm must lie in [0, 2 pi], got {self.phi_xpm!r}")
         if self.kerr_mode not in KERR_MODES:
             raise ValueError(f"kerr_mode must be one of {KERR_MODES}, got {self.kerr_mode!r}")
         object.__setattr__(self, "alpha", _finite_complex(self.alpha, "alpha"))

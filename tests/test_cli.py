@@ -227,6 +227,23 @@ class TestValidateCommand:
         assert code == EXIT_OK
         assert "overall: PASS" in capsys.readouterr().out
 
+    def test_inadequate_truncation_exits_three(self, capsys):
+        code = run_cli(
+            "validate", "--truncation-tol", "1e-25", "--epsilon", "0", "--phi", "0", "--alpha-abs", "2",
+            "--alpha-arg", "0",
+        )  # fmt: skip
+        assert code == EXIT_VALIDATION
+        assert "TRUNCATION-INADEQUATE" in capsys.readouterr().out
+
+    def test_near_cancelling_state_passes(self, capsys):
+        # the one-photon amplitude nearly vanishes: g^(4) ~ 8.1e8, where both routes agree to ~1e-13 relative
+        code = run_cli(
+            "validate", "--epsilon", "0.99", "--phi", "3.141592653589793", "--alpha-abs", "0.10050378152592121",
+            "--alpha-arg", "0",
+        )  # fmt: skip
+        assert code == EXIT_OK
+        assert "overall: PASS" in capsys.readouterr().out
+
     @pytest.mark.parametrize("alpha_abs", ["1e4", "1e200"])
     def test_basis_beyond_max_dim_is_usage_error(self, capsys, no_basis, alpha_abs):
         code = run_cli("validate", "--epsilon", "0.5", "--phi", "0", "--alpha-arg", "0", "--alpha-abs", alpha_abs)
@@ -286,6 +303,13 @@ class TestHeraldCommand:
         assert run_cli("herald", "--alpha-abs", alpha_abs) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("hcslab herald: ") and "MAX_DIM" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("xpm", ["1e300", "7", "inf", "nan"])
+    def test_kerr_phase_beyond_a_full_turn_is_usage_error(self, capsys, xpm):
+        # 1e300 used to overflow in map_to_hcs
+        assert run_cli("herald", "--xpm", xpm) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("hcslab herald: ") and "phi_xpm" in err and len(err.strip().splitlines()) == 1
 
     def test_inadequate_truncation_exits_three(self, capsys):
         assert run_cli("herald", "--alpha-abs", "3", "--truncation-tol", "1e-18") == EXIT_VALIDATION

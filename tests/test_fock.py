@@ -23,7 +23,7 @@ from hcslab.fock import (
     quadrature_central_moment,
 )
 from hcslab.moments import HcsParams, normalization
-from hcslab.witnesses import QuadratureSpec
+from hcslab.witnesses import QuadratureSpec, VacuumStateError
 
 
 def _poisson_tail_reference(mean, k):
@@ -287,3 +287,65 @@ class TestFockMoments:
         state = build_coherent(1.0, 16)
         with pytest.raises(ValueError):
             state.amps[0] = 0.0
+
+
+# mixed states in one basis: photon-added, generic, the vacuum, a near-coherent and a two-level state
+BATCH_PARAMS = (
+    HcsParams(0.0, 0.0, 1.5),
+    HcsParams(0.3, 2.0, 0.5 - 1.0j),
+    HcsParams(1.0, 0.0, 0.0),
+    HcsParams(0.9, 1.0, 2.0j),
+    HcsParams(0.5, 3.0, 0.0),
+)
+
+
+class TestFockMomentsBatch:
+    @pytest.fixture(scope="class")
+    def batch(self):
+        states = [build_hcs(params, 48) for params in BATCH_PARAMS]
+        return states, FockMoments(np.array([state.amps for state in states]))
+
+    def test_moments_match_batch_of_one(self, batch):
+        states, provider = batch
+        for n in range(14):  # 13 leaves the stored Gram product
+            for m in range(14):
+                single = [numeric_moment(state, n, m) for state in states]
+                np.testing.assert_allclose(provider.moment(n, m), single, rtol=1e-14, atol=0)
+
+    def test_quadrature_moments_match_batch_of_one(self, batch):
+        states, provider = batch
+        for k in range(1, 13):
+            for psi in (0.0, 0.4, 2.0):
+                single = [FockMoments(state).quadrature_moment(psi, k) for state in states]
+                np.testing.assert_allclose(provider.quadrature_moment(psi, k), single, rtol=1e-14, atol=0)
+
+    def test_antibunching_ratios_match_batch_of_one(self, batch):
+        states, provider = batch
+        without_vacuum = [state for state, params in zip(states, BATCH_PARAMS) if params.epsilon < 1.0]
+        kept = FockMoments(np.array([state.amps for state in without_vacuum]))
+        for k in range(1, 13):
+            single = [FockMoments(state).antibunching_ratio(k) for state in without_vacuum]
+            np.testing.assert_allclose(kept.antibunching_ratio(k), single, rtol=1e-14, atol=0)
+        with pytest.raises(VacuumStateError):
+            provider.antibunching_ratio(2)
+
+    def test_quadrature_powers_match_one_order_per_state(self, batch):
+        states, _ = batch
+        stack = np.array([state.amps for state in states])
+        for quad in (QuadratureSpec(0.0), QuadratureSpec(1.1, 2.0)):
+            chain = quadrature_central_moment(stack, quad, (2, 4, 6, 8, 10))
+            for row, order in enumerate((2, 4, 6, 8, 10)):
+                single = [quadrature_central_moment(state, quad, order) for state in states]
+                np.testing.assert_allclose(chain[row], single, rtol=1e-14, atol=0)
+
+    def test_quadrature_powers_flag_the_edge_of_any_state(self, batch):
+        states, _ = batch
+        edge = np.ones(48) / math.sqrt(48.0)
+        with pytest.raises(TruncationError, match="quadrature power 6"):
+            quadrature_central_moment(np.array([states[0].amps, edge]), QuadratureSpec(0.0), (2, 6))
+
+    def test_single_state_gives_scalars(self):
+        provider = FockMoments(build_hcs(HcsParams(0.4, 0.2, 1.1), 40))
+        assert np.ndim(provider.moment(2, 3)) == 0
+        assert np.ndim(provider.quadrature_moment(0.3, 4)) == 0
+        assert np.ndim(provider.antibunching_ratio(3)) == 0

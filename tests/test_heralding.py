@@ -7,6 +7,7 @@ import pytest
 from hcslab.fock import build_coherent, build_hcs, fidelity
 from hcslab.moments import HcsParams
 from hcslab.heralding import (
+    MAX_PHI_XPM,
     DegenerateBranchError,
     HeraldingParams,
     _d1_rail,
@@ -32,6 +33,12 @@ class TestHeraldingParams:
     def test_rejects_negative_kerr_phase(self):
         with pytest.raises(ValueError):
             balanced_params(phi_xpm=-0.1)
+
+    def test_kerr_phase_domain_is_one_turn(self):
+        assert balanced_params(phi_xpm=MAX_PHI_XPM).phi_xpm == 2.0 * math.pi
+        for phi_xpm in (math.nextafter(MAX_PHI_XPM, 7.0), 1e300, math.inf, math.nan):
+            with pytest.raises(ValueError, match="phi_xpm"):
+                balanced_params(phi_xpm=phi_xpm)
 
     def test_rejects_unknown_kerr_mode(self):
         with pytest.raises(ValueError):

@@ -91,7 +91,10 @@ class TestNormallyOrderedCentralMoment:
 
     def test_imaginary_residue_guard(self, monkeypatch):
         # deliberately non-Hermitian ladder moments trip the Fock route's guard
-        monkeypatch.setattr(fock, "_ladder_moment", lambda *args: 1.0 + 0.5j)
+        def gram(amps, powers, shift=None):
+            return np.full(amps.shape[:-1] + (powers, powers), 1.0 + 0.5j)
+
+        monkeypatch.setattr(fock, "_ladder_gram", gram)
         with pytest.raises(ValueError, match="residue"):
             normally_ordered_central_moment(FockMoments(build_hcs(HcsParams(0.5, 0.0, 1.0), 32)), Q0, 3)
 
